@@ -12,8 +12,7 @@
 use std::time::Instant;
 
 use hatt_bench::perf::{
-    loglog_slope, sweep_variant, sweep_variant_on, SweepConfig, SweepPoint, SweepWorkload,
-    VariantSweep,
+    loglog_slope, sweep_variant_on, SweepConfig, SweepPoint, SweepWorkload, VariantSweep,
 };
 use hatt_core::Variant;
 use hatt_fermion::MajoranaSum;
@@ -23,7 +22,7 @@ fn cell(points: &[SweepPoint], n: usize) -> String {
     points
         .iter()
         .find(|p| p.n == n)
-        .map_or_else(|| "-".to_string(), |p| format!("{:.5}", p.stats.median))
+        .map_or_else(|| "-".to_string(), |p| format!("{:.5}", p.median))
 }
 
 fn main() {
@@ -57,7 +56,7 @@ fn main() {
 
     let sweeps: Vec<VariantSweep> = [Variant::Unopt, Variant::Paired, Variant::Cached]
         .iter()
-        .map(|&v| sweep_variant(&cfg, v))
+        .map(|&v| sweep_variant_on(&cfg, v, SweepWorkload::UniformSingles))
         .collect();
     let (unopt, paired, cached) = (&sweeps[0], &sweeps[1], &sweeps[2]);
 
@@ -115,7 +114,7 @@ fn main() {
             s.points
                 .iter()
                 .filter(|p| p.n >= cfg.slope_min_n && p.n <= n_max)
-                .map(|p| (p.n, p.stats.median))
+                .map(|p| (p.n, p.median))
                 .collect()
         };
         println!(
@@ -128,13 +127,13 @@ fn main() {
         let t_cached = cached.points.iter().find(|p| p.n == n_max).unwrap();
         println!(
             "\nat N = {n_max}: HATT is {:.2}% faster than HATT (unopt)  (paper: 59.73%)",
-            100.0 * (t_unopt.stats.median - t_cached.stats.median) / t_unopt.stats.median
+            100.0 * (t_unopt.median - t_cached.median) / t_unopt.median
         );
     }
     if let Some(last) = cached.points.last() {
         println!(
             "HATT reached N = {} in {:.3} s per construction (memo: {} hits / {} misses)",
-            last.n, last.stats.median, last.memo_hits, last.memo_misses
+            last.n, last.median, last.memo_hits, last.memo_misses
         );
     }
 
@@ -146,10 +145,7 @@ fn main() {
     let dense = sweep_variant_on(&cfg, Variant::Cached, SweepWorkload::DenseMolecule);
     println!("  {:>5} {:>12} {:>12}", "N", "HATT(s)", "weight");
     for p in &dense.points {
-        println!(
-            "  {:>5} {:>12.5} {:>12}",
-            p.n, p.stats.median, p.pauli_weight
-        );
+        println!("  {:>5} {:>12.5} {:>12}", p.n, p.median, p.pauli_weight);
     }
     println!(
         "  dense HATT slope ~ N^{} (N ≥ {})",

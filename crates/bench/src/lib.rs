@@ -15,8 +15,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod json;
-pub mod load;
 pub mod perf;
 
 use std::time::Instant;
@@ -40,8 +38,7 @@ pub struct MappingRoster {
     /// Selection policy for the HATT rows. The tables default to
     /// [`SelectionPolicy::quality`] (the restart portfolio) — quality is
     /// what the evaluation section measures; the time cost of each
-    /// policy is measured separately by the `policy` and `perf`
-    /// binaries.
+    /// policy is measured separately by the `policy` binary.
     pub hatt_policy: SelectionPolicy,
 }
 

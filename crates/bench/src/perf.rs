@@ -1,39 +1,16 @@
-//! The scalability/perf sweep behind `fig12` and the `perf` harness:
-//! timed HATT constructions on the paper's `H_F = Σ_i M_i` workload
-//! (§V-E) across N, with summary statistics per point and least-squares
-//! log-log slope fits against the paper's complexity claims
-//! (Algorithm 1 `O(N⁴)`, Algorithm 3 `O(N³)`) — plus the
-//! quality-vs-time study of the [`SelectionPolicy`] ladder
-//! ([`policy_tradeoff`]) and the parallel-engine study
-//! ([`parallel_study`]: threaded `restarts` vs sequential, and batched
-//! `map_many` sweeps with the structure-keyed cache), so
-//! `BENCH_perf.json` records how fast the kernel is, what each extra
-//! millisecond of search buys, *and* what threads/batching buy on this
-//! host. Since hatt-perf/3 the document also carries a dense-molecule
-//! sweep (two-body interaction structure, not the uniform-singles
-//! chain) and the [`remap_study`] — incremental [`Mapper::remap`]
-//! throughput on a one-term-delta stream vs cold rebuilds. hatt-perf/4
-//! adds the `"load"` section: the open-loop service study from
-//! [`crate::load::load_study`] (sustained mappings/sec and tail latency
-//! against a single daemon and a two-shard router). hatt-perf/5 adds
-//! the `"trace"` section from [`crate::load::trace_study`]: the routed
-//! run with the span collector off and on — tracing's throughput
-//! overhead plus the per-stage latency breakdown (queue wait, cache
-//! probe, construction, forward hop, write drain) mined from the
-//! daemons' `trace_dump` replies.
+//! The scalability sweep behind `fig12`: timed cold HATT constructions
+//! across N on the paper's `H_F = Σ_i M_i` workload (§V-E) and on a
+//! dense molecule-like workload, the median time per point, and
+//! least-squares log-log slope fits against the paper's complexity
+//! claims (Algorithm 1 `O(N⁴)`, Algorithm 3 `O(N³)`).
 
 use std::time::Instant;
 
-use criterion::{summarize, Stats};
 use hatt_core::{HattMapping, Mapper, Variant};
-use hatt_fermion::models::{molecule_catalog, random_hermitian, FermiHubbard, NeutrinoModel};
-use hatt_fermion::{HamiltonianDelta, MajoranaSum};
-use hatt_mappings::{jordan_wigner, FermionMapping, SelectionPolicy};
-use hatt_pauli::Complex64;
+use hatt_fermion::models::random_hermitian;
+use hatt_fermion::MajoranaSum;
 
-use crate::json::Json;
-
-/// Sweep configuration shared by `fig12` and `perf`.
+/// Sweep configuration for `fig12`.
 #[derive(Debug, Clone)]
 pub struct SweepConfig {
     /// Mode counts to visit, ascending.
@@ -48,41 +25,17 @@ pub struct SweepConfig {
     pub slope_min_n: usize,
 }
 
-impl Default for SweepConfig {
-    fn default() -> Self {
-        SweepConfig {
-            ns: vec![8, 12, 16, 20, 24, 32, 40, 48, 64, 80, 96, 100],
-            samples: 3,
-            budget_per_point: 10.0,
-            slope_min_n: 32,
-        }
-    }
-}
-
-impl SweepConfig {
-    /// The quick configuration used by `perf --smoke` and CI.
-    pub fn smoke() -> Self {
-        SweepConfig {
-            ns: vec![8, 12, 16, 20, 24],
-            samples: 3,
-            budget_per_point: 2.0,
-            slope_min_n: 12,
-        }
-    }
-}
-
 /// One timed (variant, N) sweep point.
 #[derive(Debug, Clone)]
 pub struct SweepPoint {
     /// Mode count.
     pub n: usize,
-    /// Wall-clock statistics over the samples, in seconds.
-    pub stats: Stats,
-    /// Total settled Pauli weight (the construction objective) —
-    /// golden-checked so perf work cannot silently change results.
+    /// Median construction wall time over the samples, in seconds.
+    pub median: f64,
+    /// Samples taken (1 when the first one blew the budget).
+    pub samples: usize,
+    /// Total settled Pauli weight (the construction objective).
     pub pauli_weight: usize,
-    /// Candidate triples evaluated across the construction.
-    pub candidates: u64,
     /// Pairwise-memo hits inside the selection kernel.
     pub memo_hits: u64,
     /// Pairwise-memo misses.
@@ -92,50 +45,11 @@ pub struct SweepPoint {
 /// A completed per-variant sweep.
 #[derive(Debug, Clone)]
 pub struct VariantSweep {
-    /// The algorithm variant swept.
-    pub variant: Variant,
     /// Points actually completed (the budget may truncate the tail).
     pub points: Vec<SweepPoint>,
     /// Fitted log-log slope over points with `n ≥ slope_min_n`
     /// (`None` with fewer than two such points).
     pub slope: Option<f64>,
-}
-
-/// The paper's complexity claim for a variant, for reports.
-pub fn paper_complexity(variant: Variant) -> &'static str {
-    match variant {
-        Variant::Unopt => "O(N^4)",
-        Variant::Paired => "O(N^4) worst-case traversals",
-        Variant::Cached => "O(N^3)",
-    }
-}
-
-/// Short machine-readable variant key (`unopt` / `paired` / `cached`).
-pub fn variant_key(variant: Variant) -> &'static str {
-    match variant {
-        Variant::Unopt => "unopt",
-        Variant::Paired => "paired",
-        Variant::Cached => "cached",
-    }
-}
-
-/// A mapper with caching disabled — every call is a cold construction,
-/// which is what a timing harness must measure.
-fn uncached_mapper(
-    configure: impl FnOnce(hatt_core::MapperBuilder) -> hatt_core::MapperBuilder,
-) -> Mapper {
-    configure(Mapper::builder().cache_capacity(0))
-        .build()
-        .expect("static mapper configuration")
-}
-
-/// Runs one timed construction, returning `(seconds, mapping)`.
-pub fn time_construction(h: &MajoranaSum, variant: Variant) -> (f64, HattMapping) {
-    let mapper = uncached_mapper(|b| b.variant(variant));
-    let t0 = Instant::now();
-    let m = mapper.map(h).expect("sweep Hamiltonians are non-empty");
-    let dt = t0.elapsed().as_secs_f64();
-    (dt, m)
 }
 
 /// The Hamiltonian family a scalability sweep times.
@@ -153,14 +67,6 @@ pub enum SweepWorkload {
 }
 
 impl SweepWorkload {
-    /// Machine-readable key used in `BENCH_perf.json`.
-    pub fn key(self) -> &'static str {
-        match self {
-            SweepWorkload::UniformSingles => "uniform_singles",
-            SweepWorkload::DenseMolecule => "dense_molecule",
-        }
-    }
-
     /// The workload instance at `n` modes (pure function of `n`).
     pub fn hamiltonian(self, n: usize) -> MajoranaSum {
         match self {
@@ -172,10 +78,28 @@ impl SweepWorkload {
     }
 }
 
-/// Sweeps one variant over the configured Ns on `H_F = Σ_i M_i`,
-/// stopping early when a point blows the per-point budget.
-pub fn sweep_variant(cfg: &SweepConfig, variant: Variant) -> VariantSweep {
-    sweep_variant_on(cfg, variant, SweepWorkload::UniformSingles)
+/// Runs one timed cold construction (caching off), returning
+/// `(seconds, mapping)`.
+fn time_construction(h: &MajoranaSum, variant: Variant) -> (f64, HattMapping) {
+    let mapper = Mapper::builder()
+        .variant(variant)
+        .cache_capacity(0)
+        .build()
+        .expect("static mapper configuration");
+    let t0 = Instant::now();
+    let m = mapper.map(h).expect("sweep Hamiltonians are non-empty");
+    (t0.elapsed().as_secs_f64(), m)
+}
+
+/// Median of a non-empty sample set (mean of the middle pair when even).
+fn median(samples: &mut [f64]) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    let mid = samples.len() / 2;
+    if samples.len() % 2 == 1 {
+        samples[mid]
+    } else {
+        0.5 * (samples[mid - 1] + samples[mid])
+    }
 }
 
 /// Sweeps one variant over the configured Ns on the given workload,
@@ -199,9 +123,9 @@ pub fn sweep_variant_on(
         let stats = mapping.stats();
         points.push(SweepPoint {
             n,
-            stats: summarize(&samples),
+            median: median(&mut samples),
+            samples: samples.len(),
             pauli_weight: stats.total_weight(),
-            candidates: stats.total_candidates(),
             memo_hits: stats.memo_hits,
             memo_misses: stats.memo_misses,
         });
@@ -213,409 +137,10 @@ pub fn sweep_variant_on(
         &points
             .iter()
             .filter(|p| p.n >= cfg.slope_min_n)
-            .map(|p| (p.n, p.stats.median))
+            .map(|p| (p.n, p.median))
             .collect::<Vec<_>>(),
     );
-    VariantSweep {
-        variant,
-        points,
-        slope,
-    }
-}
-
-/// One (case, policy) cell of the quality-vs-time study.
-#[derive(Debug, Clone)]
-pub struct PolicyPoint {
-    /// Benchmark case name.
-    pub case: String,
-    /// Mode count of the case.
-    pub n_modes: usize,
-    /// The selection policy measured.
-    pub policy: SelectionPolicy,
-    /// Mapped Pauli weight under this policy.
-    pub pauli_weight: usize,
-    /// Jordan-Wigner Pauli weight on the same case (the quality bar).
-    pub jw_weight: usize,
-    /// Construction wall time in seconds (single run — quality, not
-    /// timing noise, is the signal here).
-    pub seconds: f64,
-}
-
-/// The policy ladder measured by the perf harness.
-pub fn policy_ladder() -> Vec<SelectionPolicy> {
-    vec![
-        SelectionPolicy::Vanilla,
-        SelectionPolicy::Greedy,
-        SelectionPolicy::Lookahead { width: 8 },
-        SelectionPolicy::Beam { width: 8 },
-        SelectionPolicy::Restarts,
-    ]
-}
-
-/// Measures the policy ladder on a fixed set of tie-heavy benchmark
-/// cases (the neutrino family — the workload where the myopic objective
-/// used to lose to Jordan-Wigner). `smoke` keeps only the smallest case.
-pub fn policy_tradeoff(smoke: bool) -> Vec<PolicyPoint> {
-    let mut cases: Vec<(String, MajoranaSum)> = Vec::new();
-    let sizes: &[(usize, usize)] = if smoke {
-        &[(3, 2)]
-    } else {
-        &[(3, 2), (4, 2), (5, 2)]
-    };
-    for &(sites, flavors) in sizes {
-        let model = NeutrinoModel::new(sites, flavors);
-        let mut h = MajoranaSum::from_fermion(&model.hamiltonian());
-        let _ = h.take_identity();
-        cases.push((format!("neutrino {}", model.label()), h));
-    }
-    let mut points = Vec::new();
-    for (case, h) in &cases {
-        let n = h.n_modes();
-        let jw_weight = jordan_wigner(n).map_majorana_sum(h).weight();
-        for policy in policy_ladder() {
-            let mapper = uncached_mapper(|b| b.policy(policy));
-            let t0 = Instant::now();
-            let m = mapper.map(h).expect("policy cases are non-empty");
-            let seconds = t0.elapsed().as_secs_f64();
-            points.push(PolicyPoint {
-                case: case.clone(),
-                n_modes: n,
-                policy,
-                pauli_weight: m.map_majorana_sum(h).weight(),
-                jw_weight,
-                seconds,
-            });
-        }
-    }
-    points
-}
-
-/// One case of the threaded-`restarts` study: the quality portfolio
-/// built sequentially (1 worker) and with the study's worker count.
-#[derive(Debug, Clone)]
-pub struct ParallelCase {
-    /// Benchmark case name.
-    pub case: String,
-    /// Mode count of the case.
-    pub n_modes: usize,
-    /// Best-of-samples wall time with 1 worker, seconds.
-    pub seq_s: f64,
-    /// Best-of-samples wall time with [`ParallelReport::workers`]
-    /// workers, seconds.
-    pub threaded_s: f64,
-}
-
-impl ParallelCase {
-    /// Sequential / threaded wall-time ratio (> 1 means threads won).
-    pub fn speedup(&self) -> f64 {
-        if self.threaded_s > 0.0 {
-            self.seq_s / self.threaded_s
-        } else {
-            0.0
-        }
-    }
-}
-
-/// The batched-sweep study: `batch_size` Hamiltonians spanning
-/// `distinct_structures` term structures (a coefficient sweep, the
-/// service workload), mapped one-by-one sequentially vs through
-/// `Mapper::map_batch` — so the speedup combines thread fan-out *and*
-/// structure-cache hits.
-#[derive(Debug, Clone)]
-pub struct BatchStudy {
-    /// Total Hamiltonians in the batch.
-    pub batch_size: usize,
-    /// Distinct term structures in the batch.
-    pub distinct_structures: usize,
-    /// Sequential per-element loop wall time, seconds (best of samples).
-    pub seq_s: f64,
-    /// `map_many_cached` wall time with the study's workers, seconds.
-    pub threaded_s: f64,
-    /// Structure-cache hits during the batched run.
-    pub cache_hits: u64,
-    /// Structure-cache misses (full constructions) during the batch.
-    pub cache_misses: u64,
-}
-
-impl BatchStudy {
-    /// Sequential / batched wall-time ratio.
-    pub fn speedup(&self) -> f64 {
-        if self.threaded_s > 0.0 {
-            self.seq_s / self.threaded_s
-        } else {
-            0.0
-        }
-    }
-
-    /// Mappings per second through the batched path — the headline
-    /// throughput bin.
-    pub fn throughput_per_s(&self) -> f64 {
-        if self.threaded_s > 0.0 {
-            self.batch_size as f64 / self.threaded_s
-        } else {
-            0.0
-        }
-    }
-}
-
-/// The parallel-engine study serialized under `"parallel"` in
-/// `BENCH_perf.json` (schema `hatt-perf/2`).
-#[derive(Debug, Clone)]
-pub struct ParallelReport {
-    /// Workers the threaded runs used (`HATT_THREADS` or hardware).
-    pub workers: usize,
-    /// Hardware parallelism of the measuring host. Speedups are only
-    /// meaningful when this is > 1 — on a single-core container the
-    /// threaded engine can at best tie sequential, and consumers (CI)
-    /// must gate wall-time assertions on this field.
-    pub available_workers: usize,
-    /// Per-case threaded-`restarts` rows.
-    pub restarts: Vec<ParallelCase>,
-    /// The batched neutrino sweep.
-    pub batch: BatchStudy,
-}
-
-impl ParallelReport {
-    /// Total sequential restarts wall time over the roster.
-    pub fn restarts_seq_total_s(&self) -> f64 {
-        self.restarts.iter().map(|c| c.seq_s).sum()
-    }
-
-    /// Total threaded restarts wall time over the roster.
-    pub fn restarts_threaded_total_s(&self) -> f64 {
-        self.restarts.iter().map(|c| c.threaded_s).sum()
-    }
-
-    /// Roster-level speedup of the threaded portfolio.
-    pub fn restarts_speedup(&self) -> f64 {
-        let threaded = self.restarts_threaded_total_s();
-        if threaded > 0.0 {
-            self.restarts_seq_total_s() / threaded
-        } else {
-            0.0
-        }
-    }
-}
-
-/// The roster the threaded-`restarts` study times: the Table I
-/// molecules (full), or a medium-sized subset where thread fan-out
-/// clearly dominates spawn overhead (smoke — this is what the CI
-/// wall-time gate runs).
-pub fn parallel_roster(smoke: bool) -> Vec<(String, MajoranaSum)> {
-    let mut cases = Vec::new();
-    if smoke {
-        let name = "LiH sto3g frz";
-        let spec = molecule_catalog()
-            .into_iter()
-            .find(|m| m.name == name)
-            .expect("catalog molecule");
-        cases.push((name.to_string(), crate::preprocess(&spec.hamiltonian())));
-        cases.push((
-            "Hubbard 2x2".to_string(),
-            crate::preprocess(&FermiHubbard::new(2, 2).hamiltonian()),
-        ));
-        cases.push((
-            "neutrino 3x2F".to_string(),
-            crate::preprocess(&NeutrinoModel::new(3, 2).hamiltonian()),
-        ));
-    } else {
-        for spec in molecule_catalog() {
-            cases.push((
-                spec.name.to_string(),
-                crate::preprocess(&spec.hamiltonian()),
-            ));
-        }
-    }
-    cases
-}
-
-/// Best-of-`samples` wall time of one restarts construction at the
-/// given worker cap.
-fn time_restarts(h: &MajoranaSum, workers: usize, samples: usize) -> f64 {
-    let mapper = uncached_mapper(|b| b.policy(SelectionPolicy::Restarts).threads(workers));
-    (0..samples.max(1))
-        .map(|_| {
-            let t0 = Instant::now();
-            let m = mapper.map(h).expect("roster cases are non-empty");
-            let dt = t0.elapsed().as_secs_f64();
-            std::hint::black_box(m.stats().total_weight());
-            dt
-        })
-        .fold(f64::INFINITY, f64::min)
-}
-
-/// Measures the parallel engine: threaded `restarts` vs 1 worker on the
-/// [`parallel_roster`], and a batched neutrino coefficient sweep
-/// (`map_many_cached` vs a sequential loop). Worker count comes from
-/// [`parallel::max_threads`] (so `HATT_THREADS` steers CI runs); all
-/// constructions are result-identical, only wall time differs.
-pub fn parallel_study(smoke: bool) -> ParallelReport {
-    let workers = parallel::max_threads();
-    let samples = 3;
-    let restarts = parallel_roster(smoke)
-        .into_iter()
-        .map(|(case, h)| ParallelCase {
-            n_modes: h.n_modes(),
-            seq_s: time_restarts(&h, 1, samples),
-            threaded_s: time_restarts(&h, workers, samples),
-            case,
-        })
-        .collect();
-
-    // Batched sweep: `reps` coefficient-rescaled instances per neutrino
-    // structure, under the quality policy (the service configuration).
-    let sizes: &[(usize, usize)] = if smoke { &[(3, 2)] } else { &[(3, 2), (4, 2)] };
-    let reps = if smoke { 8 } else { 12 };
-    let mut batch: Vec<MajoranaSum> = Vec::new();
-    for &(sites, flavors) in sizes {
-        let base = crate::preprocess(&NeutrinoModel::new(sites, flavors).hamiltonian());
-        for r in 0..reps {
-            batch.push(base.scaled(1.0 + 0.125 * r as f64));
-        }
-    }
-    let seq_s = {
-        let solo = uncached_mapper(|b| b.policy(SelectionPolicy::Restarts).threads(1));
-        let t0 = Instant::now();
-        for h in &batch {
-            let m = solo.map(h).expect("sweep Hamiltonians are non-empty");
-            std::hint::black_box(m.stats().total_weight());
-        }
-        t0.elapsed().as_secs_f64()
-    };
-    let batched = Mapper::builder()
-        .policy(SelectionPolicy::Restarts)
-        .threads(workers)
-        .build()
-        .expect("static mapper configuration");
-    let t0 = Instant::now();
-    let maps = batched.map_batch(&batch).expect("sweep batch maps");
-    let threaded_s = t0.elapsed().as_secs_f64();
-    std::hint::black_box(maps.len());
-
-    ParallelReport {
-        workers,
-        available_workers: parallel::available_workers(),
-        restarts,
-        batch: BatchStudy {
-            batch_size: batch.len(),
-            distinct_structures: sizes.len(),
-            seq_s,
-            threaded_s,
-            cache_hits: batched.cache().hits(),
-            cache_misses: batched.cache().misses(),
-        },
-    }
-}
-
-/// The incremental-remapping study serialized under `"remap"` in
-/// `BENCH_perf.json` (hatt-perf/3): a stream of one-term deltas served
-/// by [`Mapper::remap`] vs cold rebuilds of every edited Hamiltonian —
-/// the adaptive-ansatz workload the `map_delta` verb exists for.
-#[derive(Debug, Clone)]
-pub struct RemapStudy {
-    /// Benchmark case name.
-    pub case: String,
-    /// Mode count of the base Hamiltonian.
-    pub n_modes: usize,
-    /// One-term deltas in the stream.
-    pub steps: usize,
-    /// Total wall time of the incremental chain (base construction
-    /// excluded), seconds.
-    pub incremental_s: f64,
-    /// Total wall time of cold-constructing every edited Hamiltonian,
-    /// seconds.
-    pub fresh_s: f64,
-    /// Incremental rebuilds served (must equal `steps`).
-    pub remaps: u64,
-    /// Cold constructions on the incremental path **after** the base
-    /// (must be 0 — every step rode the ancestor).
-    pub constructions_after_base: u64,
-}
-
-impl RemapStudy {
-    /// Cold / incremental wall-time ratio (> 1 means remap won).
-    pub fn speedup(&self) -> f64 {
-        if self.incremental_s > 0.0 {
-            self.fresh_s / self.incremental_s
-        } else {
-            0.0
-        }
-    }
-
-    /// Remapped mappings per second through the incremental path.
-    pub fn remaps_per_s(&self) -> f64 {
-        if self.incremental_s > 0.0 {
-            self.steps as f64 / self.incremental_s
-        } else {
-            0.0
-        }
-    }
-}
-
-/// A quartic support absent from `h`, scanned deterministically from
-/// `salt` — the one-term edit of the remap stream.
-fn absent_quad(h: &MajoranaSum, salt: usize) -> Vec<u32> {
-    let m = 2 * h.n_modes() as u32;
-    assert!(m >= 4, "remap study needs at least two modes");
-    for off in 0..m {
-        let a = (salt as u32 + off) % (m - 3);
-        let support = vec![a, a + 1, a + 2, a + 3];
-        if h.coefficient_of(&support).is_zero(1e-12) {
-            return support;
-        }
-    }
-    // hatt-lint: allow(panic) -- bench harness; m candidate quads cannot all collide with O(m) terms
-    panic!("no absent quad found");
-}
-
-/// Times a one-term-delta stream on the dense-molecule workload:
-/// `steps` edits, each served incrementally through [`Mapper::remap`]
-/// (one warm base construction, then ancestor rebuilds only) and, for
-/// the baseline, cold-constructed from scratch. Both paths produce
-/// bit-identical trees (`tests/remap_differential.rs` pins this); the
-/// study records what the incremental path saves.
-pub fn remap_study(smoke: bool) -> RemapStudy {
-    let (n, steps) = if smoke { (8, 8) } else { (12, 32) };
-    let base = SweepWorkload::DenseMolecule.hamiltonian(n);
-    let mapper = Mapper::new();
-    mapper.map(&base).expect("base maps");
-    let base_constructions = mapper.cache().constructions();
-
-    let mut incremental_s = 0.0;
-    let mut fresh_s = 0.0;
-    let mut current = base.clone();
-    for step in 0..steps {
-        let mut delta = HamiltonianDelta::new(current.n_modes());
-        delta
-            .push_add(Complex64::real(0.5), &absent_quad(&current, 7 * step + 1))
-            .expect("absent support inserts");
-        let next = delta.apply(&current).expect("one-term delta applies");
-
-        let t0 = Instant::now();
-        let m = mapper
-            .remap(&current, &delta)
-            .expect("remap serves the edit");
-        incremental_s += t0.elapsed().as_secs_f64();
-        std::hint::black_box(m.stats().total_weight());
-
-        let cold = uncached_mapper(|b| b);
-        let t0 = Instant::now();
-        let m = cold.map(&next).expect("cold rebuild");
-        fresh_s += t0.elapsed().as_secs_f64();
-        std::hint::black_box(m.stats().total_weight());
-
-        current = next;
-    }
-
-    RemapStudy {
-        case: format!("dense_molecule n={n}"),
-        n_modes: n,
-        steps,
-        incremental_s,
-        fresh_s,
-        remaps: mapper.cache().remaps(),
-        constructions_after_base: mapper.cache().constructions() - base_constructions,
-    }
+    VariantSweep { points, slope }
 }
 
 /// Least-squares slope of `ln t` against `ln n`; `None` with fewer than
@@ -641,267 +166,6 @@ pub fn loglog_slope(points: &[(usize, f64)]) -> Option<f64> {
     Some((n * sxy - sx * sy) / denom)
 }
 
-/// Serializes a sweep set to the `BENCH_perf.json` document
-/// (`schema: "hatt-perf/5"`; see README "Perf harness" and
-/// docs/REPRODUCTION.md for the schema). `policies` is the
-/// quality-vs-time study from [`policy_tradeoff`]; `parallel` is the
-/// parallel-engine study from [`parallel_study`]; `dense` is the
-/// [`SweepWorkload::DenseMolecule`] scalability sweep, `remap` the
-/// one-term-delta stream from [`remap_study`], `load` the open-loop
-/// service study from [`crate::load::load_study`], and `trace` the
-/// tracing-overhead study from [`crate::load::trace_study`]. Every
-/// section is additive over the previous schema version — older
-/// documents simply lack the newer keys.
-#[allow(clippy::too_many_arguments)] // one argument per schema section
-pub fn sweeps_to_json(
-    cfg: &SweepConfig,
-    smoke: bool,
-    sweeps: &[VariantSweep],
-    policies: &[PolicyPoint],
-    parallel: &ParallelReport,
-    dense: &[VariantSweep],
-    remap: &RemapStudy,
-    load: &crate::load::LoadStudy,
-    trace: &crate::load::TraceStudy,
-) -> Json {
-    Json::Obj(vec![
-        ("schema".into(), Json::str("hatt-perf/5")),
-        ("workload".into(), Json::str("uniform_singles")),
-        ("smoke".into(), Json::Bool(smoke)),
-        ("samples_per_point".into(), Json::int(cfg.samples as u64)),
-        ("budget_per_point_s".into(), Json::Num(cfg.budget_per_point)),
-        ("slope_fit_min_n".into(), Json::int(cfg.slope_min_n as u64)),
-        (
-            "variants".into(),
-            Json::Arr(sweeps.iter().map(sweep_to_json).collect()),
-        ),
-        (
-            "policies".into(),
-            Json::Arr(policies.iter().map(policy_point_to_json).collect()),
-        ),
-        ("parallel".into(), parallel_to_json(parallel)),
-        (
-            "dense".into(),
-            Json::Obj(vec![
-                (
-                    "workload".into(),
-                    Json::str(SweepWorkload::DenseMolecule.key()),
-                ),
-                (
-                    "variants".into(),
-                    Json::Arr(dense.iter().map(sweep_to_json).collect()),
-                ),
-            ]),
-        ),
-        ("remap".into(), remap_to_json(remap)),
-        ("load".into(), load_to_json(load)),
-        ("trace".into(), trace_to_json(trace)),
-    ])
-}
-
-/// The `"trace"` section of the hatt-perf/5 document.
-fn trace_to_json(study: &crate::load::TraceStudy) -> Json {
-    Json::Obj(vec![
-        ("generator".into(), Json::str("open_loop")),
-        ("rate_hz".into(), Json::Num(study.config.rate_hz)),
-        ("requests".into(), Json::int(study.config.requests as u64)),
-        (
-            "connections".into(),
-            Json::int(study.config.connections as u64),
-        ),
-        ("shards".into(), Json::int(study.shards as u64)),
-        ("untraced".into(), load_report_to_json(&study.untraced)),
-        ("traced".into(), load_report_to_json(&study.traced)),
-        ("overhead_pct".into(), Json::Num(study.overhead_pct)),
-        ("spans_recorded".into(), Json::int(study.spans_recorded)),
-        ("spans_dropped".into(), Json::int(study.spans_dropped)),
-        (
-            "stages".into(),
-            Json::Arr(
-                study
-                    .stages
-                    .iter()
-                    .map(|s| {
-                        Json::Obj(vec![
-                            ("name".into(), Json::str(&s.name)),
-                            ("count".into(), Json::int(s.count as u64)),
-                            ("p50_ms".into(), Json::Num(s.p50_ms)),
-                            ("p99_ms".into(), Json::Num(s.p99_ms)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-/// The `"load"` section of the hatt-perf/4 document.
-fn load_to_json(study: &crate::load::LoadStudy) -> Json {
-    Json::Obj(vec![
-        ("generator".into(), Json::str("open_loop")),
-        ("rate_hz".into(), Json::Num(study.config.rate_hz)),
-        ("requests".into(), Json::int(study.config.requests as u64)),
-        (
-            "connections".into(),
-            Json::int(study.config.connections as u64),
-        ),
-        (
-            "sizes".into(),
-            Json::Arr(
-                study
-                    .config
-                    .sizes
-                    .iter()
-                    .map(|&s| Json::int(s as u64))
-                    .collect(),
-            ),
-        ),
-        ("shards".into(), Json::int(study.shards as u64)),
-        ("single".into(), load_report_to_json(&study.single)),
-        ("routed".into(), load_report_to_json(&study.routed)),
-    ])
-}
-
-fn load_report_to_json(r: &crate::load::LoadReport) -> Json {
-    Json::Obj(vec![
-        ("offered".into(), Json::int(r.offered as u64)),
-        ("completed".into(), Json::int(r.completed as u64)),
-        ("errors".into(), Json::int(r.errors as u64)),
-        ("elapsed_s".into(), Json::Num(r.elapsed_s)),
-        ("sustained_per_s".into(), Json::Num(r.sustained_per_s)),
-        ("p50_ms".into(), Json::Num(r.p50_ms)),
-        ("p99_ms".into(), Json::Num(r.p99_ms)),
-        ("max_ms".into(), Json::Num(r.max_ms)),
-    ])
-}
-
-/// The `"remap"` section of the hatt-perf/3 document.
-fn remap_to_json(r: &RemapStudy) -> Json {
-    Json::Obj(vec![
-        ("case".into(), Json::str(&r.case)),
-        ("n_modes".into(), Json::int(r.n_modes as u64)),
-        ("steps".into(), Json::int(r.steps as u64)),
-        ("incremental_s".into(), Json::Num(r.incremental_s)),
-        ("fresh_s".into(), Json::Num(r.fresh_s)),
-        ("speedup".into(), Json::Num(r.speedup())),
-        ("remaps_per_s".into(), Json::Num(r.remaps_per_s())),
-        ("remaps".into(), Json::int(r.remaps)),
-        (
-            "constructions_after_base".into(),
-            Json::int(r.constructions_after_base),
-        ),
-    ])
-}
-
-/// The `"parallel"` section of the hatt-perf/2 document.
-fn parallel_to_json(report: &ParallelReport) -> Json {
-    Json::Obj(vec![
-        ("workers".into(), Json::int(report.workers as u64)),
-        (
-            "available_workers".into(),
-            Json::int(report.available_workers as u64),
-        ),
-        (
-            "restarts".into(),
-            Json::Arr(
-                report
-                    .restarts
-                    .iter()
-                    .map(|c| {
-                        Json::Obj(vec![
-                            ("case".into(), Json::str(&c.case)),
-                            ("n_modes".into(), Json::int(c.n_modes as u64)),
-                            ("seq_s".into(), Json::Num(c.seq_s)),
-                            ("threaded_s".into(), Json::Num(c.threaded_s)),
-                            ("speedup".into(), Json::Num(c.speedup())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "restarts_seq_total_s".into(),
-            Json::Num(report.restarts_seq_total_s()),
-        ),
-        (
-            "restarts_threaded_total_s".into(),
-            Json::Num(report.restarts_threaded_total_s()),
-        ),
-        (
-            "restarts_speedup".into(),
-            Json::Num(report.restarts_speedup()),
-        ),
-        (
-            "throughput".into(),
-            Json::Obj(vec![
-                (
-                    "batch_size".into(),
-                    Json::int(report.batch.batch_size as u64),
-                ),
-                (
-                    "distinct_structures".into(),
-                    Json::int(report.batch.distinct_structures as u64),
-                ),
-                ("seq_s".into(), Json::Num(report.batch.seq_s)),
-                ("threaded_s".into(), Json::Num(report.batch.threaded_s)),
-                ("speedup".into(), Json::Num(report.batch.speedup())),
-                (
-                    "mappings_per_s".into(),
-                    Json::Num(report.batch.throughput_per_s()),
-                ),
-                ("cache_hits".into(), Json::int(report.batch.cache_hits)),
-                ("cache_misses".into(), Json::int(report.batch.cache_misses)),
-            ]),
-        ),
-    ])
-}
-
-fn policy_point_to_json(p: &PolicyPoint) -> Json {
-    Json::Obj(vec![
-        ("case".into(), Json::str(&p.case)),
-        ("n_modes".into(), Json::int(p.n_modes as u64)),
-        ("policy".into(), Json::str(p.policy.label())),
-        ("pauli_weight".into(), Json::int(p.pauli_weight as u64)),
-        ("jw_weight".into(), Json::int(p.jw_weight as u64)),
-        ("seconds".into(), Json::Num(p.seconds)),
-    ])
-}
-
-fn sweep_to_json(sweep: &VariantSweep) -> Json {
-    Json::Obj(vec![
-        ("name".into(), Json::str(variant_key(sweep.variant))),
-        ("label".into(), Json::str(sweep.variant.label())),
-        (
-            "paper_complexity".into(),
-            Json::str(paper_complexity(sweep.variant)),
-        ),
-        (
-            "loglog_slope".into(),
-            sweep.slope.map_or(Json::Null, Json::Num),
-        ),
-        (
-            "points".into(),
-            Json::Arr(sweep.points.iter().map(point_to_json).collect()),
-        ),
-    ])
-}
-
-fn point_to_json(p: &SweepPoint) -> Json {
-    Json::Obj(vec![
-        ("n".into(), Json::int(p.n as u64)),
-        ("mean_s".into(), Json::Num(p.stats.mean)),
-        ("median_s".into(), Json::Num(p.stats.median)),
-        ("stddev_s".into(), Json::Num(p.stats.stddev)),
-        ("min_s".into(), Json::Num(p.stats.min)),
-        ("max_s".into(), Json::Num(p.stats.max)),
-        ("samples".into(), Json::int(p.stats.n as u64)),
-        ("pauli_weight".into(), Json::int(p.pauli_weight as u64)),
-        ("candidates".into(), Json::int(p.candidates)),
-        ("memo_hits".into(), Json::int(p.memo_hits)),
-        ("memo_misses".into(), Json::int(p.memo_misses)),
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -924,202 +188,30 @@ mod tests {
     }
 
     #[test]
-    fn smoke_sweep_produces_points_and_json() {
+    fn median_is_the_middle_sample_or_the_mean_of_the_middle_pair() {
+        assert_eq!(median(&mut [3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(&mut [4.0, 1.0, 3.0, 2.0]), 2.5);
+        assert_eq!(median(&mut [7.0]), 7.0);
+    }
+
+    #[test]
+    fn smoke_sweep_produces_points() {
         let cfg = SweepConfig {
             ns: vec![4, 6, 8],
             samples: 2,
             budget_per_point: 5.0,
             slope_min_n: 4,
         };
-        let sweeps: Vec<VariantSweep> = [Variant::Cached, Variant::Unopt]
-            .iter()
-            .map(|&v| sweep_variant(&cfg, v))
-            .collect();
-        assert_eq!(sweeps[0].points.len(), 3);
-        for p in &sweeps[0].points {
+        let sweep = sweep_variant_on(&cfg, Variant::Cached, SweepWorkload::UniformSingles);
+        assert_eq!(sweep.points.len(), 3);
+        for p in &sweep.points {
             assert!(p.pauli_weight > 0);
-            assert!(p.candidates > 0);
-            assert_eq!(p.stats.n, 2);
+            assert!(p.median > 0.0);
+            assert_eq!(p.samples, 2);
         }
         // The cached variant's selection loop must actually hit the memo.
-        assert!(sweeps[0].points[0].memo_hits > 0);
-        let policies = policy_tradeoff(true);
-        assert_eq!(policies.len(), policy_ladder().len());
-        for p in &policies {
-            assert!(p.pauli_weight > 0);
-            if p.policy == SelectionPolicy::Restarts {
-                assert!(
-                    p.pauli_weight <= p.jw_weight,
-                    "restarts must not lose to JW"
-                );
-            }
-        }
-        let report = tiny_parallel_report();
-        let dense = vec![sweep_variant_on(
-            &cfg,
-            Variant::Cached,
-            SweepWorkload::DenseMolecule,
-        )];
-        let remap = tiny_remap_study();
-        let load = tiny_load_study();
-        let trace = tiny_trace_study();
-        let doc = sweeps_to_json(
-            &cfg, true, &sweeps, &policies, &report, &dense, &remap, &load, &trace,
-        )
-        .render();
-        assert!(doc.starts_with(r#"{"schema":"hatt-perf/5""#));
-        assert!(doc.contains(r#""name":"cached""#));
-        assert!(doc.contains(r#""pauli_weight":"#));
-        assert!(doc.contains(r#""policy":"restarts""#));
-        assert!(doc.contains(r#""parallel":{"workers":"#));
-        assert!(doc.contains(r#""throughput":{"batch_size":"#));
-        assert!(doc.contains(r#""cache_hits":"#));
-        assert!(doc.contains(r#""dense":{"workload":"dense_molecule""#));
-        assert!(doc.contains(r#""remap":{"case":"#));
-        assert!(doc.contains(r#""remaps_per_s":"#));
-        assert!(doc.contains(r#""load":{"generator":"open_loop""#));
-        assert!(doc.contains(r#""sustained_per_s":"#));
-        assert!(doc.contains(r#""p99_ms":"#));
-        assert!(doc.contains(r#""routed":{"offered":"#));
-        assert!(doc.contains(r#""trace":{"generator":"open_loop""#));
-        assert!(doc.contains(r#""overhead_pct":"#));
-        assert!(doc.contains(r#""spans_recorded":"#));
-        assert!(doc.contains(r#""stages":[{"name":"construct""#));
-        assert!(doc.contains(r#""untraced":{"offered":"#));
-        assert!(doc.contains(r#""traced":{"offered":"#));
-    }
-
-    fn tiny_load_report() -> crate::load::LoadReport {
-        crate::load::LoadReport {
-            offered: 8,
-            completed: 8,
-            errors: 0,
-            elapsed_s: 0.5,
-            sustained_per_s: 16.0,
-            p50_ms: 1.0,
-            p99_ms: 2.0,
-            max_ms: 3.0,
-        }
-    }
-
-    fn tiny_load_study() -> crate::load::LoadStudy {
-        let report = tiny_load_report();
-        crate::load::LoadStudy {
-            config: crate::load::LoadConfig::smoke(),
-            shards: 2,
-            single: report.clone(),
-            routed: report,
-        }
-    }
-
-    fn tiny_trace_study() -> crate::load::TraceStudy {
-        crate::load::TraceStudy {
-            config: crate::load::LoadConfig::smoke(),
-            shards: 2,
-            untraced: tiny_load_report(),
-            traced: tiny_load_report(),
-            overhead_pct: 1.5,
-            spans_recorded: 64,
-            spans_dropped: 0,
-            stages: vec![crate::load::TraceStageStats {
-                name: "construct".into(),
-                count: 8,
-                p50_ms: 0.4,
-                p99_ms: 0.9,
-            }],
-        }
-    }
-
-    fn tiny_remap_study() -> RemapStudy {
-        RemapStudy {
-            case: "t".into(),
-            n_modes: 8,
-            steps: 4,
-            incremental_s: 0.5,
-            fresh_s: 2.0,
-            remaps: 4,
-            constructions_after_base: 0,
-        }
-    }
-
-    fn tiny_parallel_report() -> ParallelReport {
-        ParallelReport {
-            workers: 4,
-            available_workers: 4,
-            restarts: vec![ParallelCase {
-                case: "t".into(),
-                n_modes: 4,
-                seq_s: 0.4,
-                threaded_s: 0.1,
-            }],
-            batch: BatchStudy {
-                batch_size: 8,
-                distinct_structures: 1,
-                seq_s: 2.0,
-                threaded_s: 0.5,
-                cache_hits: 7,
-                cache_misses: 1,
-            },
-        }
-    }
-
-    #[test]
-    fn parallel_report_arithmetic() {
-        let r = tiny_parallel_report();
-        assert!((r.restarts[0].speedup() - 4.0).abs() < 1e-12);
-        assert!((r.restarts_speedup() - 4.0).abs() < 1e-12);
-        assert!((r.batch.speedup() - 4.0).abs() < 1e-12);
-        assert!((r.batch.throughput_per_s() - 16.0).abs() < 1e-12);
-        // Division-by-zero guards.
-        let zero = ParallelCase {
-            case: "z".into(),
-            n_modes: 1,
-            seq_s: 1.0,
-            threaded_s: 0.0,
-        };
-        assert_eq!(zero.speedup(), 0.0);
-    }
-
-    #[test]
-    fn parallel_study_smoke_is_result_identical_and_counts_cache() {
-        let report = parallel_study(true);
-        assert!(report.workers >= 1);
-        assert!(report.available_workers >= 1);
-        assert_eq!(report.restarts.len(), 3, "smoke roster size");
-        for c in &report.restarts {
-            assert!(c.seq_s > 0.0 && c.threaded_s > 0.0, "{}: timed", c.case);
-        }
-        // One distinct structure, 8 instances: exactly one construction.
-        assert_eq!(report.batch.batch_size, 8);
-        assert_eq!(report.batch.distinct_structures, 1);
-        assert_eq!(report.batch.cache_misses, 1);
-        assert_eq!(report.batch.cache_hits, 7);
-        assert!(report.batch.throughput_per_s() > 0.0);
-    }
-
-    #[test]
-    fn remap_study_arithmetic_and_counters() {
-        let r = tiny_remap_study();
-        assert!((r.speedup() - 4.0).abs() < 1e-12);
-        assert!((r.remaps_per_s() - 8.0).abs() < 1e-12);
-        let zero = RemapStudy {
-            incremental_s: 0.0,
-            ..tiny_remap_study()
-        };
-        assert_eq!(zero.speedup(), 0.0);
-        assert_eq!(zero.remaps_per_s(), 0.0);
-    }
-
-    #[test]
-    fn remap_study_smoke_rides_the_ancestor_every_step() {
-        let r = remap_study(true);
-        assert_eq!(r.steps, 8);
-        assert_eq!(r.remaps, 8, "every edit must remap incrementally");
-        assert_eq!(
-            r.constructions_after_base, 0,
-            "one-term deltas must never construct cold"
-        );
-        assert!(r.incremental_s > 0.0 && r.fresh_s > 0.0);
+        assert!(sweep.points[0].memo_hits > 0);
+        assert!(sweep.slope.is_some());
     }
 
     #[test]
@@ -1144,8 +236,8 @@ mod tests {
             budget_per_point: 0.0, // everything is over budget
             slope_min_n: 4,
         };
-        let sweep = sweep_variant(&cfg, Variant::Cached);
+        let sweep = sweep_variant_on(&cfg, Variant::Cached, SweepWorkload::UniformSingles);
         assert_eq!(sweep.points.len(), 1, "must stop after the first point");
-        assert_eq!(sweep.points[0].stats.n, 1, "no extra samples when over");
+        assert_eq!(sweep.points[0].samples, 1, "no extra samples when over");
     }
 }

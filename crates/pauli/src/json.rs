@@ -1,5 +1,5 @@
 //! A minimal JSON value, writer and parser — the substrate of the
-//! `hatt-wire/1` codecs and the perf harness's `BENCH_perf.json`
+//! `hatt-wire/1` codecs, the store records and perfbench's reply parsing
 //! (the container vendors no registry crates, so there is no serde).
 //!
 //! Strings are escaped per RFC 8259; non-finite floats render as `null`

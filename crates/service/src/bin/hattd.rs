@@ -7,7 +7,6 @@
 //!       [--event-workers N] [--route HOST:PORT,HOST:PORT,...]
 //!       [--policy greedy|vanilla|restarts|lookahead:<w>|beam:<w>]
 //!       [--variant cached|paired|unopt] [--trace]
-//!       [--self-check] [--persist-check] [--route-check] [--trace-check]
 //! ```
 //!
 //! * `--addr` — listen address (`:0` picks an ephemeral port; the bound
@@ -35,40 +34,16 @@
 //!   longer lines are answered with `invalid_request` without buffering.
 //! * `--policy` / `--variant` — the server mapper's defaults; requests
 //!   may override per call.
-//! * `--self-check` — boot on an ephemeral port, round-trip a sample
-//!   request through a real socket, verify the responses against
-//!   in-process mappings, and exit (the CI smoke mode).
-//! * `--persist-check` — boot with a store, map the Table I molecule
-//!   roster, restart the daemon on the same store, map the roster
-//!   again, and verify the second pass is all store hits with **zero**
-//!   constructions and bit-identical trees (the CI persistence smoke).
-//! * `--route-check` — boot two in-process shard daemons plus a router
-//!   over them, map a synthetic roster through the router, and verify
-//!   the responses are bit-identical to in-process mappings with every
-//!   shard healthy (the CI router smoke).
 //! * `--trace` — record a span tree per request (accept, frame parse,
 //!   queue wait, cache probe / construction, forward hop, write drain)
 //!   into a bounded in-memory ring; dump recent trees with the
 //!   `trace_dump` verb (`hatt_service::client::trace_dump`) and see
 //!   recorded/dropped totals in `stats`.
-//! * `--trace-check` — boot two traced in-process shard daemons plus a
-//!   traced router, send one request through the router, merge the
-//!   three daemons' `trace_dump`s, and verify they form a single
-//!   connected trace — router accept → forward hop → shard
-//!   construction — with at least 6 nested spans (the CI trace smoke).
 
 use std::process::ExitCode;
-use std::sync::Arc;
 
 use hatt_core::Mapper;
-use hatt_fermion::models::molecule_catalog;
-use hatt_fermion::{FermionOperator, MajoranaSum};
-use hatt_mappings::FermionMapping;
-use hatt_pauli::Complex64;
-use hatt_service::{
-    client, MapDeltaRequest, MapRequest, Scheduler, SchedulerConfig, Server, ServerConfig,
-    StatsReply, TraceSpan,
-};
+use hatt_service::{SchedulerConfig, Server, ServerConfig};
 
 struct Args {
     addr: String,
@@ -83,10 +58,6 @@ struct Args {
     policy: Option<String>,
     variant: Option<String>,
     trace: bool,
-    self_check: bool,
-    persist_check: bool,
-    route_check: bool,
-    trace_check: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -103,10 +74,6 @@ fn parse_args() -> Result<Args, String> {
         policy: None,
         variant: None,
         trace: false,
-        self_check: false,
-        persist_check: false,
-        route_check: false,
-        trace_check: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -158,17 +125,12 @@ fn parse_args() -> Result<Args, String> {
             "--policy" => args.policy = Some(value("--policy")?),
             "--variant" => args.variant = Some(value("--variant")?),
             "--trace" => args.trace = true,
-            "--self-check" => args.self_check = true,
-            "--persist-check" => args.persist_check = true,
-            "--route-check" => args.route_check = true,
-            "--trace-check" => args.trace_check = true,
             "--help" | "-h" => {
                 println!(
                     "hattd [--addr IP:PORT] [--threads N] [--queue N] [--cache N] \
                      [--store PATH] [--max-conns N] [--max-line-bytes N] \
                      [--event-workers N] [--route HOST:PORT,...] \
-                     [--policy P] [--variant V] [--trace] \
-                     [--self-check] [--persist-check] [--route-check] [--trace-check]"
+                     [--policy P] [--variant V] [--trace]"
                 );
                 std::process::exit(0);
             }
@@ -240,54 +202,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if args.self_check {
-        return match self_check(&args) {
-            Ok(report) => {
-                println!("{report}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("hattd self-check FAILED: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.persist_check {
-        return match persist_check(args) {
-            Ok(report) => {
-                println!("{report}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("hattd persist-check FAILED: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.route_check {
-        return match route_check(&args) {
-            Ok(report) => {
-                println!("{report}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("hattd route-check FAILED: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.trace_check {
-        return match trace_check(&args) {
-            Ok(report) => {
-                println!("{report}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("hattd trace-check FAILED: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
     let config = server_config(&args);
     let bound = if let Some(route) = &args.route {
         let shards = match parse_shards(route) {
@@ -324,410 +238,4 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-/// The CI router smoke: boot two in-process shard daemons plus a
-/// consistent-hash router over them, map a synthetic roster through the
-/// router, and require the responses to be bit-identical to in-process
-/// mappings with both shards healthy in the router's `stats`.
-fn route_check(args: &Args) -> Result<String, String> {
-    let shard_a = Server::bind("127.0.0.1:0", build_mapper(args)?, server_config(args))
-        .map_err(|e| format!("shard a: bind: {e}"))?;
-    let shard_b = Server::bind("127.0.0.1:0", build_mapper(args)?, server_config(args))
-        .map_err(|e| format!("shard b: bind: {e}"))?;
-    let shards = vec![
-        shard_a.local_addr().to_string(),
-        shard_b.local_addr().to_string(),
-    ];
-    let router = Server::bind_router("127.0.0.1:0", &shards, server_config(args))
-        .map_err(|e| format!("router: bind: {e}"))?;
-    let reference = build_mapper(args)?;
-
-    let hams: Vec<MajoranaSum> = (2..26).map(MajoranaSum::uniform_singles).collect();
-    let reply = client::request(
-        router.local_addr(),
-        &MapRequest::new("route-check", hams.clone()),
-    )
-    .map_err(|e| format!("routed request: {e}"))?;
-    if reply.done.errors != 0 {
-        return Err(format!("routed request had errors: {:?}", reply.done));
-    }
-    let items = reply.into_ordered();
-    if items.len() != hams.len() {
-        return Err(format!(
-            "expected {} items, got {}",
-            hams.len(),
-            items.len()
-        ));
-    }
-    for (i, (item, h)) in items.iter().zip(&hams).enumerate() {
-        let mapping = item
-            .mapping()
-            .ok_or_else(|| format!("item {i} is an error: {:?}", item.error()))?;
-        let local = reference
-            .map(h)
-            .map_err(|e| format!("local map {i}: {e}"))?;
-        if mapping.tree() != local.tree() {
-            return Err(format!(
-                "item {i}: routed tree differs from in-process tree"
-            ));
-        }
-    }
-
-    let stats = client::stats(router.local_addr(), "route-check-stats")
-        .map_err(|e| format!("router stats: {e}"))?;
-    if stats.shards.len() != 2 {
-        return Err(format!(
-            "expected 2 shards in stats, got {}",
-            stats.shards.len()
-        ));
-    }
-    if let Some(sick) = stats.shards.iter().find(|s| !s.healthy) {
-        return Err(format!("shard {} reported unhealthy", sick.addr));
-    }
-    let forwarded: u64 = stats.shards.iter().map(|s| s.forwarded).sum();
-    if forwarded != hams.len() as u64 {
-        return Err(format!(
-            "router forwarded {forwarded} items, expected {}",
-            hams.len()
-        ));
-    }
-
-    router.shutdown();
-    shard_a.shutdown();
-    shard_b.shutdown();
-    Ok(format!(
-        "hattd route-check ok: {} items routed across 2 shards, trees bit-identical, \
-         both shards healthy",
-        hams.len()
-    ))
-}
-
-/// The CI trace smoke: boot two traced in-process shard daemons plus a
-/// traced router, send **one** map request through the router, merge
-/// the three daemons' `trace_dump`s, and require a single connected
-/// trace — router accept → forward hop → shard construction → write
-/// drain — with at least 6 nested spans under one root.
-fn trace_check(args: &Args) -> Result<String, String> {
-    let mut config = server_config(args);
-    config.trace = true;
-    let shard_a = Server::bind("127.0.0.1:0", build_mapper(args)?, config.clone())
-        .map_err(|e| format!("shard a: bind: {e}"))?;
-    let shard_b = Server::bind("127.0.0.1:0", build_mapper(args)?, config.clone())
-        .map_err(|e| format!("shard b: bind: {e}"))?;
-    let shards = vec![
-        shard_a.local_addr().to_string(),
-        shard_b.local_addr().to_string(),
-    ];
-    let router = Server::bind_router("127.0.0.1:0", &shards, config)
-        .map_err(|e| format!("router: bind: {e}"))?;
-
-    let req = MapRequest::new("trace-check", vec![MajoranaSum::uniform_singles(6)]);
-    let reply =
-        client::request(router.local_addr(), &req).map_err(|e| format!("traced request: {e}"))?;
-    if reply.done.errors != 0 {
-        return Err(format!("traced request had errors: {:?}", reply.done));
-    }
-
-    // Every stage the request crossed, in at least one of the three
-    // daemons' rings.
-    let required = [
-        "request",
-        "accept",
-        "frame.parse",
-        "queue.wait",
-        "route.hash",
-        "route.forward",
-        "construct",
-        "write.drain",
-    ];
-    // The final write-drain span lands moments after the client reads
-    // `map_done`; poll the dumps briefly instead of racing them.
-    let mut merged: std::collections::BTreeMap<u64, Vec<TraceSpan>> = Default::default();
-    for _ in 0..200 {
-        merged.clear();
-        let router_addr = router.local_addr().to_string();
-        for addr in std::iter::once(&router_addr).chain(&shards) {
-            let dump = client::trace_dump(addr.as_str(), "trace-check-dump")
-                .map_err(|e| format!("trace_dump {addr}: {e}"))?;
-            if !dump.enabled {
-                return Err(format!("daemon {addr} reports tracing disabled"));
-            }
-            for tree in dump.traces {
-                merged.entry(tree.trace_id).or_default().extend(tree.spans);
-            }
-        }
-        let covered = required
-            .iter()
-            .all(|n| merged.values().flatten().any(|s| s.name == *n));
-        if merged.len() == 1 && covered {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
-
-    if merged.len() != 1 {
-        return Err(format!(
-            "expected exactly one trace id across router+shards, found {}",
-            merged.len()
-        ));
-    }
-    let (trace_id, spans) = merged.into_iter().next().ok_or("no spans recorded")?;
-    for name in required {
-        if !spans.iter().any(|s| s.name == name) {
-            return Err(format!("trace {trace_id:#x} is missing a {name:?} span"));
-        }
-    }
-    let nested = spans.iter().filter(|s| s.parent_span != 0).count();
-    if nested < 6 {
-        return Err(format!(
-            "trace {trace_id:#x} has only {nested} nested spans (need ≥ 6): {spans:?}"
-        ));
-    }
-    // Connectivity: exactly one root (the router's request span), and
-    // every other span — including the shard's, linked through the
-    // on-wire forward-hop context — hangs off a recorded span.
-    let ids: std::collections::BTreeSet<u64> = spans.iter().map(|s| s.span_id).collect();
-    let orphans: Vec<&TraceSpan> = spans
-        .iter()
-        .filter(|s| s.parent_span != 0 && !ids.contains(&s.parent_span))
-        .collect();
-    if !orphans.is_empty() {
-        return Err(format!("spans with unrecorded parents: {orphans:?}"));
-    }
-    let roots = spans.iter().filter(|s| s.parent_span == 0).count();
-    if roots != 1 {
-        return Err(format!("expected 1 root span, found {roots}"));
-    }
-
-    router.shutdown();
-    shard_a.shutdown();
-    shard_b.shutdown();
-    Ok(format!(
-        "hattd trace-check ok: one traced request produced trace {trace_id:#x} with \
-         {} spans ({nested} nested) spanning router accept → forward hop → shard \
-         construction → write drain",
-        spans.len()
-    ))
-}
-
-/// Boots an ephemeral server, round-trips a request through a real
-/// socket, and verifies every response equals the in-process mapping.
-fn self_check(args: &Args) -> Result<String, String> {
-    let mapper = build_mapper(args)?;
-    let reference = build_mapper(args)?;
-    let config = server_config(args);
-    let server = Server::bind("127.0.0.1:0", mapper, config).map_err(|e| format!("bind: {e}"))?;
-    let addr = server.local_addr();
-
-    // Sample workload: the paper's Eq. (3) example, a coefficient
-    // rescale of it (must cache-hit server-side), and a uniform-singles
-    // chain. One zero-mode item checks the typed error path.
-    let mut eq3 = MajoranaSum::new(3);
-    eq3.add(Complex64::new(0.0, 0.5), &[0, 1]);
-    eq3.add(Complex64::new(0.0, -0.5), &[2, 3]);
-    eq3.add(Complex64::new(0.0, -0.5), &[4, 5]);
-    eq3.add(Complex64::real(0.5), &[2, 3, 4, 5]);
-    let hams = vec![
-        eq3.clone(),
-        eq3.scaled(2.0),
-        MajoranaSum::uniform_singles(4),
-    ];
-    let req = MapRequest::new("self-check", hams.clone());
-    let reply = client::request(addr, &req).map_err(|e| format!("request: {e}"))?;
-    if reply.done.errors != 0 {
-        return Err(format!("unexpected errors: {:?}", reply.done));
-    }
-    let items = reply.into_ordered();
-    if items.len() != hams.len() {
-        return Err(format!(
-            "expected {} items, got {}",
-            hams.len(),
-            items.len()
-        ));
-    }
-    for (i, (item, h)) in items.iter().zip(&hams).enumerate() {
-        let mapping = item
-            .mapping()
-            .ok_or_else(|| format!("item {i} is an error: {:?}", item.error()))?;
-        let local = reference
-            .map(h)
-            .map_err(|e| format!("local map {i}: {e}"))?;
-        if mapping.tree() != local.tree() {
-            return Err(format!(
-                "item {i}: socket tree differs from in-process tree"
-            ));
-        }
-        let weight = mapping.map_majorana_sum(h).weight();
-        if weight != local.map_majorana_sum(h).weight() {
-            return Err(format!("item {i}: weight mismatch"));
-        }
-    }
-
-    // The typed error path: a zero-mode item fails alone, the rest map.
-    let req = MapRequest::new("self-check-err", vec![MajoranaSum::new(0), eq3]);
-    let items = client::request(addr, &req)
-        .map_err(|e| format!("error-path request: {e}"))?
-        .into_ordered();
-    if items[0].error().map(|e| e.code.as_str()) != Some("empty_hamiltonian") {
-        return Err(format!("expected empty_hamiltonian, got {:?}", items[0]));
-    }
-    if !items[1].is_ok() {
-        return Err("valid item failed alongside an invalid one".into());
-    }
-
-    // The incremental verb: remap the already-warmed eq3 structure with
-    // a one-term delta over the socket and require the result to be
-    // bit-identical to a fresh in-process build — served as a remap,
-    // not a cold construction.
-    let mut delta = hatt_fermion::HamiltonianDelta::new(3);
-    delta
-        .push_add(Complex64::real(0.25), &[0, 1, 2, 3])
-        .map_err(|e| format!("delta build: {e}"))?;
-    let edited = delta
-        .apply(&hams[0])
-        .map_err(|e| format!("delta apply: {e}"))?;
-    let reply = client::remap(
-        addr,
-        &MapDeltaRequest::new("self-check-delta", hams[0].clone(), delta),
-    )
-    .map_err(|e| format!("map_delta request: {e}"))?;
-    if reply.done.errors != 0 {
-        return Err(format!("map_delta errors: {:?}", reply.done));
-    }
-    let remote = reply.items[0]
-        .mapping()
-        .ok_or_else(|| format!("map_delta item is an error: {:?}", reply.items[0].error()))?;
-    let local = reference
-        .map(&edited)
-        .map_err(|e| format!("local map of the edited Hamiltonian: {e}"))?;
-    if remote.tree() != local.tree() {
-        return Err("map_delta: socket tree differs from in-process tree".into());
-    }
-    // Under the default greedy/cached configuration the delta must ride
-    // the ancestor fast path; exotic --policy/--variant flags may
-    // legitimately fall back to a cold construct, so only the default
-    // asserts the counter.
-    if args.policy.is_none() && args.variant.is_none() {
-        let stats = client::stats(addr, "self-check-stats").map_err(|e| format!("stats: {e}"))?;
-        if stats.remaps != 1 {
-            return Err(format!(
-                "expected the delta to be served incrementally (1 remap), stats report {}",
-                stats.remaps
-            ));
-        }
-    }
-
-    // A scheduler smoke directly (no socket) for the bounded queue.
-    let sched = Scheduler::new(Arc::new(build_mapper(args)?), scheduler_config(args))
-        .map_err(|e| format!("scheduler start: {e}"))?;
-    let rx = sched
-        .submit(&MapRequest::new("q", vec![MajoranaSum::uniform_singles(2)]))
-        .map_err(|e| format!("scheduler submit: {e}"))?;
-    rx.recv().map_err(|e| format!("scheduler recv: {e}"))?;
-
-    server.shutdown();
-    Ok(format!(
-        "hattd self-check ok: {} items round-tripped on {addr}, trees bit-identical, \
-         typed errors intact",
-        hams.len()
-    ))
-}
-
-/// Strips the identity and numerical noise off a second-quantized
-/// Hamiltonian — the same preprocessing the benchmarks use.
-fn preprocess(h: &FermionOperator) -> MajoranaSum {
-    let mut m = MajoranaSum::from_fermion(h);
-    let _ = m.take_identity();
-    m.prune(1e-10);
-    m
-}
-
-/// The CI persistence smoke: boot a daemon with a store, map the
-/// Table I molecule roster over the socket, restart the daemon on the
-/// same store file, map the roster again, and require the second pass
-/// to be pure store hits — zero constructions — with trees
-/// bit-identical to the first pass.
-fn persist_check(mut args: Args) -> Result<String, String> {
-    let temp = args.store.is_none();
-    let store_path = args.store.take().unwrap_or_else(|| {
-        std::env::temp_dir().join(format!("hattd-persist-check-{}.store", std::process::id()))
-    });
-    // The check owns the store's lifecycle: a leftover file from an
-    // earlier run would make the first pass warm and fail the cold
-    // assertions.
-    let _ = std::fs::remove_file(&store_path);
-    args.store = Some(store_path.clone());
-
-    let roster: Vec<MajoranaSum> = molecule_catalog()
-        .iter()
-        .map(|spec| preprocess(&spec.hamiltonian()))
-        .collect();
-
-    let run_pass = |label: &str| -> Result<(Vec<hatt_service::MapItem>, StatsReply), String> {
-        let mapper = build_mapper(&args)?;
-        let server = Server::bind("127.0.0.1:0", mapper, server_config(&args))
-            .map_err(|e| format!("{label}: bind: {e}"))?;
-        let addr = server.local_addr();
-        let req = MapRequest::new(label, roster.clone());
-        let reply = client::request(addr, &req).map_err(|e| format!("{label}: request: {e}"))?;
-        if reply.done.errors != 0 {
-            return Err(format!("{label}: unexpected errors: {:?}", reply.done));
-        }
-        let items = reply.into_ordered();
-        let stats = client::stats(addr, label).map_err(|e| format!("{label}: stats: {e}"))?;
-        // Shutdown drains the scheduler and flushes the store to disk —
-        // the durability boundary the second pass depends on.
-        server.shutdown();
-        Ok((items, stats))
-    };
-
-    let (cold_items, cold_stats) = run_pass("persist-cold")?;
-    let (warm_items, warm_stats) = run_pass("persist-warm")?;
-    if temp {
-        let _ = std::fs::remove_file(&store_path);
-    }
-
-    let n = roster.len() as u64;
-    let cold_store = cold_stats
-        .store
-        .ok_or("cold pass: stats reports no store tier")?;
-    if cold_stats.constructions != n || cold_store.writes != n {
-        return Err(format!(
-            "cold pass: expected {n} constructions / {n} store writes, \
-             got {} / {}",
-            cold_stats.constructions, cold_store.writes
-        ));
-    }
-    let warm_store = warm_stats
-        .store
-        .ok_or("warm pass: stats reports no store tier")?;
-    if warm_stats.constructions != 0 {
-        return Err(format!(
-            "warm pass ran {} constructions; the store should have served all {n}",
-            warm_stats.constructions
-        ));
-    }
-    if warm_store.hits != n {
-        return Err(format!(
-            "warm pass: expected {n} store hits, got {} ({} misses)",
-            warm_store.hits, warm_store.misses
-        ));
-    }
-    for (i, (cold, warm)) in cold_items.iter().zip(&warm_items).enumerate() {
-        let (Some(a), Some(b)) = (cold.mapping(), warm.mapping()) else {
-            return Err(format!("item {i}: missing mapping payload"));
-        };
-        if a.tree() != b.tree() {
-            return Err(format!(
-                "item {i}: store-replayed tree differs from the freshly built one"
-            ));
-        }
-    }
-    Ok(format!(
-        "hattd persist-check ok: {} structures persisted to {}; restarted daemon \
-         served all of them from the store (0 constructions, trees bit-identical)",
-        roster.len(),
-        store_path.display()
-    ))
 }

@@ -4,6 +4,8 @@
 //! the in-process `Mapper` result. Also pins the typed-error paths: a
 //! malformed line, a zero-mode item and a mode-pin violation each come
 //! back as error lines without wedging the connection or the batch.
+//! A server restarted on its store file serves from disk, and the
+//! exact lines a non-Rust client writes are answered as documented.
 
 // Test-harness code unwraps freely; the no-panic contract covers library code only.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -944,5 +946,103 @@ fn an_open_loop_burst_over_the_cap_sheds_typed_overloaded_and_recovers() {
             Err(e) => panic!("server unserviceable after burst: {e}"),
         }
     }
+    server.shutdown();
+}
+
+#[test]
+fn a_restarted_server_serves_the_molecule_roster_from_its_store() {
+    let path =
+        std::env::temp_dir().join(format!("hattd-restart-test-{}.store", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let molecules: Vec<MajoranaSum> = molecule_catalog()
+        .iter()
+        .map(|spec| preprocess(&spec.hamiltonian()))
+        .collect();
+    assert_eq!(molecules.len(), 8);
+
+    let pass = |label: &str| {
+        let mapper = Mapper::builder()
+            .store_path(&path)
+            .build()
+            .expect("store opens");
+        let server = boot(mapper);
+        let reply = client::request(
+            server.local_addr(),
+            &MapRequest::new(label, molecules.clone()),
+        )
+        .expect("round trip");
+        assert_eq!(reply.done.errors, 0, "{label}: {:?}", reply.done);
+        let items = reply.into_ordered();
+        let stats = client::stats(server.local_addr(), label).expect("stats");
+        // Shutdown drains the scheduler and flushes the store: the
+        // durability boundary the second server depends on.
+        server.shutdown();
+        (items, stats)
+    };
+    let (cold_items, cold) = pass("cold");
+    let (warm_items, warm) = pass("warm");
+
+    let n = molecules.len() as u64;
+    assert_eq!(cold.constructions, n);
+    assert_eq!(cold.store.expect("store tier").writes, n);
+    assert_eq!(warm.constructions, 0, "the store must serve every molecule");
+    assert_eq!(warm.store.expect("store tier").hits, n);
+    for (i, (a, b)) in cold_items.iter().zip(&warm_items).enumerate() {
+        assert_eq!(
+            a.mapping().expect("cold item").tree(),
+            b.mapping().expect("warm item").tree(),
+            "molecule {i}: the store-replayed tree drifted"
+        );
+    }
+    let bytes = std::fs::read(&path).expect("store file");
+    assert!(bytes.starts_with(b"HATS"), "store file magic");
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn hand_written_wire_lines_map_remap_and_count_one_remap() {
+    // The exact bytes a non-Rust client writes: a 2-mode map_request,
+    // a map_delta on the same structure, then a stats_request.
+    const MAP: &str = r#"{"format":"hatt-wire/1","kind":"map_request","payload":{"id":"ci","hamiltonians":[{"n_modes":2,"terms":[{"re":1,"im":0,"idx":[0,1]},{"re":0.5,"im":0,"idx":[0,1,2,3]}]}]}}"#;
+    const DELTA: &str = r#"{"format":"hatt-wire/1","kind":"map_delta","payload":{"id":"ci-delta","hamiltonian":{"n_modes":2,"terms":[{"re":1,"im":0,"idx":[0,1]},{"re":0.5,"im":0,"idx":[0,1,2,3]}]},"delta":{"n_modes":2,"ops":[{"op":"add","re":0.25,"im":0,"idx":[2,3]}]}}}"#;
+    const STATS: &str =
+        r#"{"format":"hatt-wire/1","kind":"stats_request","payload":{"id":"ci-stats"}}"#;
+
+    let server = boot(Mapper::new());
+    let stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    // Sends one line and collects reply lines up to the one containing
+    // `last`.
+    let mut exchange = |line: &str, last: &str| -> Vec<String> {
+        writer
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("send");
+        let mut lines = Vec::new();
+        loop {
+            let mut reply = String::new();
+            assert!(reader.read_line(&mut reply).expect("reply") > 0, "EOF");
+            let done = reply.contains(last);
+            lines.push(reply);
+            if done {
+                return lines;
+            }
+        }
+    };
+
+    for (line, what) in [(MAP, "map_request"), (DELTA, "map_delta")] {
+        let replies = exchange(line, r#""kind":"map_done""#);
+        assert_eq!(replies.len(), 2, "{what}: one item then done: {replies:?}");
+        assert!(
+            replies[0].contains(r#""kind":"map_item""#),
+            "{what}: {replies:?}"
+        );
+        assert!(replies[0].contains(r#""ok":true"#), "{what}: {replies:?}");
+    }
+    let stats = exchange(STATS, "\n");
+    assert!(stats[0].contains(r#""remaps":1"#), "{stats:?}");
     server.shutdown();
 }
