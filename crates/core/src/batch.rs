@@ -1,6 +1,7 @@
-//! Batched construction: [`map_many`] maps a slice of Hamiltonians
-//! concurrently, consulting a structure-keyed [`MappingCache`] so
-//! repeated structures skip the `O(N³)` selection work entirely.
+//! Batched construction: [`Mapper::map_batch`](crate::Mapper::map_batch)
+//! maps a slice of Hamiltonians concurrently, consulting a
+//! structure-keyed [`MappingCache`] so repeated structures skip the
+//! `O(N³)` selection work entirely.
 //!
 //! ## Why structure, not value
 //!
@@ -36,7 +37,7 @@
 //! probe, so when a concurrent batch contains the same structure many
 //! times, exactly one worker constructs it and the rest block briefly
 //! on its slot and replay — the cache never does the same `O(N³)` work
-//! twice, even within one [`map_many`] call.
+//! twice, even within one batch.
 //!
 //! ## Eviction
 //!
@@ -93,6 +94,7 @@ use std::sync::{Condvar, Mutex, MutexGuard};
 
 use hatt_fermion::{HamiltonianDelta, MajoranaSum};
 use hatt_mappings::{NodeId, TernaryTree};
+use hatt_store::fnv1a64;
 // A free no-op unless the calling thread is inside a `Tracer::scope`
 // (the service's dispatch loop installs one per traced request): the
 // cache tiers report where a request's time went without any plumbing
@@ -123,27 +125,17 @@ impl Structure {
         }
     }
 
-    /// FNV-1a over the structure, with per-term length prefixes so term
-    /// boundaries cannot alias (`{0,1},{2}` vs `{0},{1,2}`).
+    /// FNV-1a over the structure as little-endian `u64` words, with
+    /// per-term length prefixes so term boundaries cannot alias
+    /// (`{0,1},{2}` vs `{0},{1,2}`).
     pub(crate) fn hash(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut acc = OFFSET;
-        let mut eat = |v: u64| {
-            for byte in v.to_le_bytes() {
-                acc ^= u64::from(byte);
-                acc = acc.wrapping_mul(PRIME);
-            }
-        };
-        eat(self.n_modes as u64);
-        eat(self.terms.len() as u64);
-        for term in &self.terms {
-            eat(term.len() as u64);
-            for &idx in term {
-                eat(u64::from(idx));
-            }
-        }
-        acc
+        let terms = self.terms.iter().flat_map(|term| {
+            std::iter::once(term.len() as u64).chain(term.iter().map(|&idx| u64::from(idx)))
+        });
+        let words = [self.n_modes as u64, self.terms.len() as u64]
+            .into_iter()
+            .chain(terms);
+        fnv1a64(words.flat_map(u64::to_le_bytes))
     }
 }
 
@@ -283,13 +275,19 @@ impl CacheInner {
     /// slot plus whether the caller just became its owner (and must
     /// construct and fill it). Runs under the cache lock, so exactly one
     /// prober per structure ever owns. A bounded cache evicts its
-    /// least-recently-used resolved entry when the insert overflows.
+    /// least-recently-used resolved entry when the insert overflows; a
+    /// disabled cache (capacity 0) keeps nothing, so every probe owns a
+    /// fresh slot that no other probe can find.
     fn probe(
         &mut self,
         hash: u64,
         structure: &Structure,
         options: &HattOptions,
     ) -> (Arc<Slot>, bool) {
+        if self.capacity == Some(0) {
+            self.misses += 1;
+            return (Slot::new(), true);
+        }
         let tick = self.tick;
         self.tick += 1;
         let bucket = self.buckets.entry(hash).or_default();
@@ -613,33 +611,6 @@ impl MappingCache {
             threads: None,
             ..*options
         };
-        if self.capacity() == Some(0) {
-            // In-memory caching disabled: still counted as a miss for
-            // observability, and the persistent tier (if any) still
-            // works — it is a separate knob.
-            self.lock().misses += 1;
-            let structure = Structure::of(h);
-            if let Some(tier) = &self.store {
-                if let Some(seq) = span("store.load", || tier.load(&structure, &norm)) {
-                    return Ok(span("cache.replay", || hatt_replay(h, options, &seq)));
-                }
-            }
-            if let Some(mapping) = self.remap_from_ancestor(h, options, &norm, ancestor)? {
-                if let Some(tier) = &self.store {
-                    span("store.save", || {
-                        tier.save(&structure, &norm, &mapping, ancestor.map(|(s, _)| s.hash()));
-                    });
-                }
-                return Ok(mapping);
-            }
-            let mapping = self.construct(h, options)?;
-            if let Some(tier) = &self.store {
-                span("store.save", || {
-                    tier.save(&structure, &norm, &mapping, None)
-                });
-            }
-            return Ok(mapping);
-        }
         let structure = Structure::of(h);
         let hash = structure.hash();
         let (slot, owner) = span("cache.probe", || self.lock().probe(hash, &structure, &norm));
@@ -744,28 +715,16 @@ impl MappingCache {
         span("remap", || hatt_remap(h, options, &seq, touched)).map(Some)
     }
 
-    /// Panicking convenience over [`MappingCache::try_get_or_build`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `h` has zero modes.
-    pub fn get_or_build(&self, h: &MajoranaSum, options: &HattOptions) -> HattMapping {
-        self.try_get_or_build(h, options)
-            // hatt-lint: allow(panic) -- documented `# Panics` convenience; try_get_or_build is the typed path
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     fn lock(&self) -> MutexGuard<'_, CacheInner> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
-/// The batch engine behind [`crate::Mapper::map_batch`] and the
-/// deprecated `map_many*` shims: maps every Hamiltonian in `hs`,
-/// fanning out over scoped worker threads (worker count from
-/// [`HattOptions::workers`]) and deduplicating construction work
-/// through `cache`. Results come back **in input order**, bit-identical
-/// to mapping each element sequentially
+/// The batch engine behind [`crate::Mapper::map_batch`]: maps every
+/// Hamiltonian in `hs`, fanning out over scoped worker threads (worker
+/// count from [`HattOptions::workers`]) and deduplicating construction
+/// work through `cache`. Results come back **in input order**,
+/// bit-identical to mapping each element sequentially
 /// (`tests/parallel_determinism.rs` pins this).
 ///
 /// The batch level owns the fan-out and splits the worker budget by the
@@ -818,45 +777,10 @@ pub(crate) fn map_many_impl(
         .collect()
 }
 
-/// Maps every Hamiltonian in `hs` through a fresh per-call cache.
-///
-/// Deprecated shim; see [`crate::Mapper::map_batch`].
-///
-/// # Panics
-///
-/// Panics when any Hamiltonian has zero modes.
-#[deprecated(note = "use `Mapper::with_options(opts).map_batch(&hs)` instead")]
-pub fn map_many(hs: &[MajoranaSum], options: &HattOptions) -> Vec<HattMapping> {
-    // hatt-lint: allow(panic) -- the deprecated shim's documented `# Panics` contract; new code uses Mapper
-    map_many_impl(hs, options, &MappingCache::new()).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// `map_many` against a caller-owned cache (hits survive across
-/// batches).
-///
-/// Deprecated shim; see [`crate::Mapper::map_batch`], whose `Mapper`
-/// owns the long-lived cache.
-///
-/// # Panics
-///
-/// Panics when any Hamiltonian has zero modes.
-#[deprecated(note = "use `Mapper::with_options(opts).map_batch(&hs)` instead")]
-pub fn map_many_cached(
-    hs: &[MajoranaSum],
-    options: &HattOptions,
-    cache: &MappingCache,
-) -> Vec<HattMapping> {
-    // hatt-lint: allow(panic) -- the deprecated shim's documented `# Panics` contract; new code uses Mapper
-    map_many_impl(hs, options, cache).unwrap_or_else(|e| panic!("{e}"))
-}
-
-// The unit tests exercise the deprecated `map_many*` shims on purpose —
-// they are the behaviour contract the shims must keep.
-#[allow(deprecated)]
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithm::hatt_with;
+    use crate::Mapper;
     use hatt_mappings::{validate, FermionMapping, SelectionPolicy};
     use hatt_pauli::Complex64;
 
@@ -915,16 +839,18 @@ mod tests {
 
     #[test]
     fn failed_owner_does_not_wedge_followers() {
-        // A construction that panics (zero modes) must mark its slot
+        // A construction that fails (zero modes) must mark its slot
         // failed so later probes re-raise instead of deadlocking.
         let h = MajoranaSum::new(0);
         let cache = MappingCache::new();
         let opts = HattOptions::default();
         for attempt in 0..2 {
-            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                cache.get_or_build(&h, &opts)
-            }));
-            assert!(r.is_err(), "attempt {attempt}: must panic, not hang");
+            let r = cache.try_get_or_build(&h, &opts);
+            assert_eq!(
+                r.unwrap_err(),
+                HattError::EmptyHamiltonian,
+                "attempt {attempt}: must fail, not hang"
+            );
         }
         // The failed entry is removed each time, so the structure is not
         // poisoned: both attempts were fresh claims, nothing is cached.
@@ -937,10 +863,10 @@ mod tests {
         let h = ham(&[&[0, 1], &[2, 3], &[0, 1, 2, 3]]);
         let cache = MappingCache::new();
         let greedy = HattOptions::default();
-        let _ = cache.get_or_build(&h, &greedy);
+        let _ = cache.try_get_or_build(&h, &greedy).unwrap();
         // Different policy → different entry (a beam tree may differ).
         let beam = HattOptions::with_policy(SelectionPolicy::Beam { width: 4 });
-        let _ = cache.get_or_build(&h, &beam);
+        let _ = cache.try_get_or_build(&h, &beam).unwrap();
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.misses(), 2);
         // Same policy, different worker cap → hit (threads normalized).
@@ -948,9 +874,9 @@ mod tests {
             threads: Some(4),
             ..greedy
         };
-        let m = cache.get_or_build(&h, &greedy_4t);
+        let m = cache.try_get_or_build(&h, &greedy_4t).unwrap();
         assert_eq!(cache.hits(), 1);
-        assert_eq!(m.tree(), hatt_with(&h, &greedy).tree());
+        assert_eq!(m.tree(), hatt_with_impl(&h, &greedy).unwrap().tree());
     }
 
     #[test]
@@ -961,9 +887,9 @@ mod tests {
         b.add(Complex64::real(0.125), &[2, 3]);
         let cache = MappingCache::new();
         let opts = HattOptions::default();
-        let _ = cache.get_or_build(&a, &opts);
-        let hit = cache.get_or_build(&b, &opts);
-        let fresh = hatt_with(&b, &opts);
+        let _ = cache.try_get_or_build(&a, &opts).unwrap();
+        let hit = cache.try_get_or_build(&b, &opts).unwrap();
+        let fresh = hatt_with_impl(&b, &opts).unwrap();
         assert_eq!(cache.hits(), 1);
         assert_eq!(hit.tree(), fresh.tree());
         assert_eq!(hit.stats().total_weight(), fresh.stats().total_weight());
@@ -984,10 +910,10 @@ mod tests {
                 threads: Some(workers),
                 ..Default::default()
             };
-            let maps = map_many(&hs, &opts);
+            let maps = Mapper::with_options(opts).map_batch(&hs).unwrap();
             assert_eq!(maps.len(), hs.len());
             for (h, m) in hs.iter().zip(&maps) {
-                let solo = hatt_with(h, &HattOptions::default());
+                let solo = hatt_with_impl(h, &HattOptions::default()).unwrap();
                 assert_eq!(m.tree(), solo.tree(), "workers = {workers}");
                 assert_eq!(m.majorana(0), solo.majorana(0));
             }
@@ -1066,14 +992,14 @@ mod tests {
     #[test]
     fn shared_cache_carries_hits_across_batches() {
         let hs = vec![ham(&[&[0, 1], &[2, 3]]); 3];
-        let cache = MappingCache::new();
-        let opts = HattOptions::with_threads(2);
-        let _ = map_many_cached(&hs, &opts, &cache);
+        let mapper = Mapper::with_options(HattOptions::with_threads(2));
+        let cache = mapper.cache();
+        let _ = mapper.map_batch(&hs).unwrap();
         assert_eq!(cache.len(), 1);
         // In-flight dedup makes this deterministic even concurrently:
         // exactly one probe claims the structure, the other two follow.
         assert_eq!((cache.hits(), cache.misses()), (2, 1));
-        let _ = map_many_cached(&hs, &opts, &cache);
+        let _ = mapper.map_batch(&hs).unwrap();
         assert_eq!(cache.hits(), 2 + 3, "second batch is all hits");
         assert_eq!(cache.len(), 1);
     }
@@ -1188,6 +1114,26 @@ mod interleave_models {
             assert_eq!(c.n_modes(), 4);
             assert_eq!(cache.len(), 1, "resolved entries evict to the bound");
         });
+    }
+
+    #[test]
+    fn disabled_cache_constructs_every_probe_under_every_schedule() {
+        // Capacity 0: each probe owns a slot the cache does not keep,
+        // so two concurrent maps of one structure never dedupe.
+        let report = interleave::model(|| {
+            let cache = Arc::new(MappingCache::with_capacity(0));
+            let other = {
+                let cache = Arc::clone(&cache);
+                thread::spawn(move || cache.try_get_or_build(&tiny(), &seq()).unwrap())
+            };
+            let mine = cache.try_get_or_build(&tiny(), &seq()).unwrap();
+            let theirs = other.join().unwrap();
+            assert_eq!(mine.tree(), theirs.tree());
+            assert_eq!(cache.constructions(), 2, "both threads construct");
+            assert_eq!((cache.hits(), cache.misses()), (0, 2));
+            assert_eq!(cache.len(), 0);
+        });
+        assert!(report.iterations > 1, "explored {}", report.iterations);
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! The typed error taxonomy of the public mapping API.
 //!
 //! Every fallible entry point ([`Mapper`](crate::Mapper) methods, the
-//! wire codecs, the batch layer) returns [`HattError`]; the legacy free
-//! functions (`hatt`, `hatt_with`, …) are deprecated wrappers that
-//! `panic!` with the same messages they always did. No `panic!`/`expect`
-//! is reachable from malformed user input on the `Result` path — the
-//! service layer relies on this to map untrusted requests safely.
+//! wire codecs, the batch layer) returns [`HattError`]. No
+//! `panic!`/`expect` is reachable from malformed user input on the
+//! `Result` path — the service layer relies on this to map untrusted
+//! requests safely.
 
 use std::fmt;
 
@@ -103,9 +102,6 @@ impl HattError {
 impl fmt::Display for HattError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            // Keep the historical panic wording: the deprecated shims
-            // re-panic with this text and `#[should_panic(expected =
-            // "at least one mode")]` tests pin it.
             HattError::EmptyHamiltonian => {
                 write!(f, "empty Hamiltonian: need at least one mode")
             }

@@ -26,10 +26,7 @@
 //! # Ok::<(), hatt_core::HattError>(())
 //! ```
 //!
-//! Every fallible call returns a typed [`HattError`]; the pre-handle
-//! free functions (`hatt`, `hatt_with`, `compile`, `map_many*`) remain
-//! as `#[deprecated]` panicking shims so existing code keeps compiling
-//! and producing bit-identical output.
+//! Every fallible call returns a typed [`HattError`].
 //!
 //! ## Algorithms
 //!
@@ -77,11 +74,7 @@ mod stats;
 mod store;
 pub mod wire;
 
-#[allow(deprecated)]
-pub use algorithm::{compile, hatt, hatt_for_fermion, hatt_with};
 pub use algorithm::{HattMapping, HattOptions, Variant};
-#[allow(deprecated)]
-pub use batch::{map_many, map_many_cached};
 pub use batch::{structure_key, MappingCache};
 pub use error::HattError;
 pub use mapper::{Mapper, MapperBuilder};

@@ -95,9 +95,9 @@ impl Mapper {
     }
 
     /// A mapper from pre-validated [`HattOptions`] (every `HattOptions`
-    /// value is valid by construction, so this cannot fail). Prefer
-    /// [`Mapper::builder`] in new code; this constructor mostly serves
-    /// code migrating from the deprecated free functions.
+    /// value is valid by construction, so this cannot fail) and an
+    /// unbounded cache. [`Mapper::builder`] also configures the cache
+    /// and the store tier.
     pub fn with_options(options: HattOptions) -> Mapper {
         Mapper {
             options,
@@ -214,7 +214,7 @@ impl Mapper {
     }
 
     /// Maps `h` and applies the mapping to it, returning the mapped
-    /// qubit Hamiltonian alongside (the old `compile` entry point).
+    /// qubit Hamiltonian alongside.
     pub fn compile(&self, h: &MajoranaSum) -> Result<(HattMapping, PauliSum), HattError> {
         let mapping = self.map(h)?;
         let hq = mapping.map_majorana_sum(h);

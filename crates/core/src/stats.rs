@@ -8,16 +8,17 @@
 //! weights sum to the mapped Hamiltonian's Pauli weight:
 //!
 //! ```
-//! use hatt_core::hatt;
+//! use hatt_core::Mapper;
 //! use hatt_fermion::MajoranaSum;
 //! use hatt_mappings::FermionMapping;
 //! use hatt_pauli::Complex64;
 //!
 //! let mut h = MajoranaSum::new(2);
 //! h.add(Complex64::ONE, &[0, 3]);
-//! let m = hatt(&h);
+//! let m = Mapper::new().map(&h)?;
 //! assert_eq!(m.stats().iterations.len(), 2);
 //! assert_eq!(m.stats().total_weight(), m.map_majorana_sum(&h).weight());
+//! # Ok::<(), hatt_core::HattError>(())
 //! ```
 
 use std::time::Duration;

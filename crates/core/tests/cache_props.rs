@@ -83,8 +83,8 @@ proptest! {
         let query = warm.scaled(f64::from(factor) * 0.5);
         let opts = HattOptions::default();
         let cache = MappingCache::new();
-        let _ = cache.get_or_build(&warm, &opts);
-        let hit = cache.get_or_build(&query, &opts);
+        let _ = cache.try_get_or_build(&warm, &opts).unwrap();
+        let hit = cache.try_get_or_build(&query, &opts).unwrap();
         prop_assert_eq!(cache.hits(), 1, "second lookup must hit");
 
         let fresh = Mapper::with_options(opts).map(&query).unwrap();

@@ -9,9 +9,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use hatt_core::{HattOptions, Mapper, Variant};
-/// One construction through the `Mapper` handle (fresh handle per
-/// call, so every construction is cold — same results and stats as
-/// the old `hatt_with` free function).
+/// One construction through the `Mapper` handle (a fresh handle per
+/// call, so every construction is cold).
 fn hatt_with(h: &hatt_fermion::MajoranaSum, opts: &HattOptions) -> hatt_core::HattMapping {
     Mapper::with_options(*opts)
         .map(h)

@@ -210,7 +210,7 @@ impl MajoranaSum {
     /// of a coupling/geometry sweep. With `factor != 0` the term
     /// *structure* is preserved exactly, which is what makes sweeps the
     /// ideal workload for the structure-keyed mapping cache
-    /// (`hatt-core`'s `map_many`).
+    /// (`hatt-core`'s `Mapper::map_batch`).
     ///
     /// # Panics
     ///

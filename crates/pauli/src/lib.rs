@@ -51,8 +51,8 @@ pub use op::{Pauli, Phase};
 pub use string::{ParsePauliStringError, PauliString};
 pub use sum::{PauliSum, COEFF_EPS};
 
-// The parallel construction engine (`hatt-core::map_many`, the threaded
-// `restarts` portfolio) shares Hamiltonians across `std::thread::scope`
+// The parallel construction engine (`hatt-core`'s batch mapping, the
+// threaded `restarts` portfolio) shares Hamiltonians across `std::thread::scope`
 // workers and moves built mappings back to the caller, so every algebra
 // type must stay `Send + Sync` (plain owned data — no `Rc`, `RefCell`,
 // or raw pointers). Asserted at compile time so a refactor that breaks

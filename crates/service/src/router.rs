@@ -39,6 +39,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use hatt_core::structure_key;
+use hatt_store::fnv1a64;
 use hatt_trace::{now_ns, TraceCtx, Tracer};
 
 use crate::error::ServiceError;
@@ -54,21 +55,11 @@ use crate::scheduler::ClientId;
 /// split within a few percent of even for small shard counts.
 const RING_REPLICAS: usize = 64;
 
-/// 64-bit FNV-1a over a byte stream — the same construction (offset
-/// basis + prime) as the structure key itself, applied to shard labels
-/// to place ring points.
-fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// A consistent-hash ring over shard indices: `owner(key)` is the
 /// first ring point at or after `key` (wrapping), so re-labelling or
 /// resizing the shard set moves only the keys between affected points.
+/// Points are placed by the same FNV-1a as the structure key, applied
+/// to the shard labels.
 #[derive(Debug)]
 pub(crate) struct HashRing {
     /// `(point, shard index)`, sorted by point.
@@ -86,7 +77,7 @@ impl HashRing {
                         .bytes()
                         .chain(std::iter::once(b'#'))
                         .chain((replica as u64).to_le_bytes());
-                    (fnv1a(bytes), shard)
+                    (fnv1a64(bytes), shard)
                 })
             })
             .collect();
@@ -689,6 +680,32 @@ mod tests {
             "{moved} of {} keys migrated between surviving shards",
             keys.len()
         );
+    }
+
+    /// The ring hash and the structure key are the workspace's one
+    /// FNV-1a. Stored records are addressed by the structure key and
+    /// perfbench's fixed shard placement depends on the ring hash, so
+    /// these literals must never drift.
+    #[test]
+    fn structure_keys_and_ring_placement_are_stable() {
+        let ring = HashRing::new(&["127.0.1.1:29411".to_string(), "127.0.1.2:29411".to_string()]);
+        assert_eq!(
+            ring.points[..4],
+            [
+                (0x02d9_1be9_7ad1_b92e, 1),
+                (0x0485_73bf_11f9_2aed, 1),
+                (0x0514_0214_f2fe_daf8, 0),
+                (0x06c0_59ea_8a26_4cb7, 0),
+            ]
+        );
+        let mut pair = MajoranaSum::new(2);
+        pair.add(hatt_pauli::Complex64::ONE, &[0, 1]);
+        pair.add(hatt_pauli::Complex64::real(0.5), &[0, 1, 2, 3]);
+        let singles = structure_key(&MajoranaSum::uniform_singles(3));
+        let pair = structure_key(&pair);
+        assert_eq!(singles, 0x3861_2014_6978_b441);
+        assert_eq!(pair, 0xb009_5f2f_303a_0862);
+        assert_eq!((ring.owner(singles), ring.owner(pair)), (1, 0));
     }
 
     #[test]

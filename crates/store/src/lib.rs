@@ -70,20 +70,29 @@ const MAX_VAL_LEN: u32 = 1 << 28;
 /// Default floor under which auto-compaction never triggers.
 const DEFAULT_COMPACT_MIN_BYTES: u64 = 64 * 1024;
 
-/// FNV-1a over a sequence of byte slices (the same hash family the
-/// mapping cache uses for structure keys — deterministic, offline,
-/// dependency-free).
-fn fnv1a64(parts: &[&[u8]]) -> u64 {
+/// 64-bit FNV-1a over a byte stream: the record checksum here, the
+/// mapping cache's structure key in `hatt-core`, and the shard ring's
+/// points in `hatt-service`. It has no per-process state, so every
+/// process and run computes the same value, which is what makes it
+/// usable for keys and checksums that outlive the process.
+///
+/// # Examples
+///
+/// ```
+/// assert_eq!(hatt_store::fnv1a64(*b""), 0xcbf2_9ce4_8422_2325);
+/// assert_eq!(hatt_store::fnv1a64(*b"a"), 0xaf63_dc4c_8601_ec8c);
+/// ```
+pub fn fnv1a64(bytes: impl IntoIterator<Item = u8>) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut acc = OFFSET;
-    for part in parts {
-        for &byte in *part {
-            acc ^= u64::from(byte);
-            acc = acc.wrapping_mul(PRIME);
-        }
-    }
-    acc
+    bytes.into_iter().fold(OFFSET, |acc, byte| {
+        (acc ^ u64::from(byte)).wrapping_mul(PRIME)
+    })
+}
+
+/// The checksum stored with a record: FNV-1a over `key ‖ value`.
+fn record_checksum(key: &[u8], value: &[u8]) -> u64 {
+    fnv1a64(key.iter().chain(value).copied())
 }
 
 /// Index entry: where the latest record of a key lives.
@@ -269,7 +278,7 @@ impl Store {
             }
             Err(e) => return Err(e),
         }
-        if fnv1a64(&[key, &value]) != located.checksum {
+        if record_checksum(key, &value) != located.checksum {
             self.drop_corrupt(key, located);
             return Ok(None);
         }
@@ -299,7 +308,7 @@ impl Store {
                 "store value exceeds the 256 MiB cap",
             ));
         }
-        let checksum = fnv1a64(&[key, value]);
+        let checksum = record_checksum(key, value);
         let mut record = Vec::with_capacity(HEADER_LEN + key.len() + value.len());
         record.extend_from_slice(&MAGIC);
         record.extend_from_slice(&(key.len() as u32).to_le_bytes());
@@ -356,7 +365,7 @@ impl Store {
             let Some(value) = self.get(&key)? else {
                 continue; // verified-corrupt under us; drop it
             };
-            let checksum = fnv1a64(&[&key, &value]);
+            let checksum = record_checksum(&key, &value);
             let mut record = Vec::with_capacity(HEADER_LEN + key.len() + value.len());
             record.extend_from_slice(&MAGIC);
             record.extend_from_slice(&(key.len() as u32).to_le_bytes());
@@ -427,7 +436,7 @@ fn parse_record(bytes: &[u8], offset: usize) -> Result<Option<(&[u8], Located)>,
     }
     let key = &remaining[HEADER_LEN..HEADER_LEN + key_len as usize];
     let value = &remaining[HEADER_LEN + key_len as usize..record_len];
-    if fnv1a64(&[key, value]) != checksum {
+    if record_checksum(key, value) != checksum {
         return Err(find_magic(bytes, offset + 1));
     }
     Ok(Some((
@@ -457,6 +466,20 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(tmp_path(&path));
         path
+    }
+
+    /// Every stored record is verified against this checksum on load,
+    /// so a drift in the hash would turn each one into a miss.
+    #[test]
+    fn record_checksum_is_stable() {
+        let path = scratch("checksum");
+        let mut store = Store::open(&path).unwrap();
+        store.put(b"structure-key", b"hatt-wire/1 value").unwrap();
+        drop(store);
+        let bytes = std::fs::read(&path).unwrap();
+        let checksum = u64::from_le_bytes(bytes[12..HEADER_LEN].try_into().unwrap());
+        assert_eq!(checksum, 0x38a0_af55_9e69_8abe);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -2,12 +2,6 @@
 //! library calls at small N, asserted against checked-in expected
 //! numbers (Pauli weights, gate counts, qubit counts).
 //!
-//! Deliberately exercises the deprecated `hatt`/`hatt_with` shims (see
-//! `tests/deprecated_shims.rs` for the shim ≡ `Mapper` equivalence):
-//! the golden numbers pin that the API redesign changed no result, on
-//! the exact entry points pre-redesign callers used.
-#![allow(deprecated)]
-//!
 //! Every value here was produced by the corresponding
 //! `cargo run -p hatt-bench --bin tableN` binary at the time the suite
 //! was recorded. The constructions, the Trotter/optimizer pipeline and
@@ -15,15 +9,28 @@
 //! numbers means an optimization PR changed *results*, not just speed —
 //! exactly what this suite exists to catch.
 
+// Test-harness code unwraps freely; the no-panic contract covers library code only.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use hatt_bench::{evaluate_case, preprocess, EvalCell, MappingRoster};
 use hatt_circuit::{
     optimize, route_sabre, rustiq_trotter, trotter_circuit, CouplingMap, RouterOptions,
     RustiqOptions, TermOrder,
 };
-use hatt_core::{hatt, hatt_with, HattOptions, Variant};
+use hatt_core::{HattMapping, HattOptions, Mapper, Variant};
 use hatt_fermion::models::{FermiHubbard, NeutrinoModel};
 use hatt_fermion::MajoranaSum;
 use hatt_mappings::{jordan_wigner, FermionMapping};
+
+/// One cold construction with the default options.
+fn hatt(h: &MajoranaSum) -> HattMapping {
+    hatt_with(h, &HattOptions::default())
+}
+
+/// One cold construction (a fresh handle, so nothing is replayed).
+fn hatt_with(h: &MajoranaSum, options: &HattOptions) -> HattMapping {
+    Mapper::with_options(*options).map(h).unwrap()
+}
 
 /// `(mapping, pauli_weight, cnot, depth, single_qubit)` golden rows.
 type GoldenRow = (&'static str, usize, usize, usize, usize);

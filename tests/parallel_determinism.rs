@@ -16,13 +16,11 @@
 //! once at the hardware default. Mutating the variable *here* would race
 //! against the concurrent test harness.
 
-// Deliberately exercises the deprecated free-function shims: the
-// determinism pins must hold on the exact entry points pre-redesign
-// callers used (Mapper equivalence is pinned in tests/deprecated_shims.rs).
-#![allow(deprecated)]
+// Test-harness code unwraps freely; the no-panic contract covers library code only.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use hatt_bench::{evaluate_mapping, preprocess};
-use hatt_core::{hatt_with, map_many, map_many_cached, HattOptions, MappingCache};
+use hatt_core::{HattMapping, HattOptions, Mapper};
 use hatt_fermion::models::{molecule_catalog, NeutrinoModel};
 use hatt_fermion::MajoranaSum;
 use hatt_mappings::SelectionPolicy;
@@ -44,6 +42,11 @@ fn roster() -> Vec<(String, MajoranaSum)> {
     cases
 }
 
+/// One cold construction (a fresh handle, so nothing is replayed).
+fn hatt_with(h: &MajoranaSum, options: &HattOptions) -> HattMapping {
+    Mapper::with_options(*options).map(h).unwrap()
+}
+
 fn restarts_with_threads(workers: usize) -> HattOptions {
     HattOptions {
         policy: SelectionPolicy::Restarts,
@@ -54,7 +57,7 @@ fn restarts_with_threads(workers: usize) -> HattOptions {
 
 /// Per-step settled weights — the full construction trace, not just the
 /// total, so a reshuffled-but-same-total schedule still fails.
-fn step_weights(m: &hatt_core::HattMapping) -> Vec<usize> {
+fn step_weights(m: &HattMapping) -> Vec<usize> {
     m.stats()
         .iterations
         .iter()
@@ -119,7 +122,7 @@ fn map_many_matches_per_element_construction_in_input_order() {
             threads: Some(workers),
             ..Default::default()
         };
-        let got = map_many(&batch, &opts);
+        let got = Mapper::with_options(opts).map_batch(&batch).unwrap();
         assert_eq!(got.len(), batch.len());
         for (i, (g, e)) in got.iter().zip(&expect).enumerate() {
             assert_eq!(
@@ -143,13 +146,13 @@ fn map_many_under_restarts_hits_the_cache_and_stays_identical() {
     // bit-identical to the direct restarts run.
     let h = preprocess(&NeutrinoModel::new(3, 2).hamiltonian());
     let batch = vec![h.clone(), h.scaled(2.0), h.scaled(0.5)];
-    let cache = MappingCache::new();
-    let opts = HattOptions {
+    let mapper = Mapper::with_options(HattOptions {
         policy: SelectionPolicy::Restarts,
         threads: Some(4),
         ..Default::default()
-    };
-    let maps = map_many_cached(&batch, &opts, &cache);
+    });
+    let cache = mapper.cache();
+    let maps = mapper.map_batch(&batch).unwrap();
     let direct = hatt_with(&h, &HattOptions::with_policy(SelectionPolicy::Restarts));
     for (i, m) in maps.iter().enumerate() {
         assert_eq!(m.tree(), direct.tree(), "slot {i} tree drifted");

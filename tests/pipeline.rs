@@ -14,8 +14,8 @@ use hatt::mappings::{
 };
 use hatt::sim::{ground_state, StateVector};
 
-/// One construction through the `Mapper` handle (fresh handle per call —
-/// identical results and stats to the old `hatt_with` free function).
+/// One construction through the `Mapper` handle (a fresh handle per
+/// call, so every construction is cold).
 fn hatt_with(h: &MajoranaSum, opts: &HattOptions) -> hatt::core::HattMapping {
     Mapper::with_options(*opts)
         .map(h)
