@@ -17,9 +17,9 @@ pub enum ServiceError {
     /// The peer violated the line protocol (unexpected kind, missing
     /// `map_done`, mismatched request id, …).
     Protocol(String),
-    /// The scheduler queue cannot take the request right now
-    /// (`try_submit` only — blocking `submit` applies backpressure
-    /// instead).
+    /// The server cannot take the request right now: a bounded queue
+    /// that cannot hold all of its items sheds it whole, and a
+    /// connection beyond the cap is turned away.
     Overloaded,
     /// The scheduler is shutting down.
     ShuttingDown,

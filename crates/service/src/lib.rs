@@ -1,11 +1,11 @@
 //! # hatt-service
 //!
 //! The production service surface of the HATT mapping engine: a typed
-//! request/response protocol over the `hatt-wire/1` JSON format, a
-//! bounded-queue [`Scheduler`] fanning work onto scoped worker threads
-//! through the shared [`Mapper`](hatt_core::Mapper) cache, and a
+//! request/response protocol over the `hatt-wire/1` JSON format and a
 //! std-only JSON-lines-over-TCP daemon ([`Server`], shipped as the
-//! `hattd` binary) with a matching [`client`] helper.
+//! `hattd` binary) with a matching [`client`] helper. Behind the
+//! daemon, a bounded-queue scheduler fans work onto scoped worker
+//! threads through the shared [`Mapper`](hatt_core::Mapper) cache.
 //!
 //! ```text
 //! client ──(map_request line)──▶ hattd event loop ──▶ Scheduler
@@ -20,9 +20,13 @@
 //!
 //! Connections are owned by a small set of readiness-based event-loop
 //! workers (`vendor/poll` over non-blocking sockets) — no per-connection
-//! thread, no blocking write to a slow client. [`Server::bind_router`]
-//! swaps the scheduler for a consistent-hash shard router that fans
-//! request items out to the shard daemons owning their structure keys.
+//! thread, no blocking write to a slow client. Each connection is its
+//! own fairness bucket in the scheduler's round-robin queue, and a
+//! request that queue cannot hold whole is shed with a typed
+//! `overloaded` error instead of blocking an event loop.
+//! [`Server::bind_router`] swaps the scheduler for a consistent-hash
+//! shard router that fans request items out to the shard daemons owning
+//! their structure keys.
 //!
 //! Responses stream **one line per batch item as it completes**, so a
 //! large batch's fast items arrive while slow ones still construct.
@@ -70,5 +74,5 @@ pub use proto::{
     PolicyLatency, RequestLine, ResponseLine, ShardStats, StatsReply, StatsRequest, TierStats,
     TraceDumpReply, TraceDumpRequest, TraceSpan, TraceSummary, TraceTree, VerbCounters,
 };
-pub use scheduler::{ClientId, Scheduler, SchedulerConfig};
+pub use scheduler::SchedulerConfig;
 pub use server::{Server, ServerConfig};

@@ -11,9 +11,15 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
+use hatt_trace::Tracer;
+
+use crate::proto::{
+    LatencyBucket, PolicyLatency, StatsReply, TierStats, TraceSummary, VerbCounters,
+};
+
 /// Upper bounds (nanoseconds) of the finite histogram buckets; one
 /// overflow bucket follows. 100µs..10s in decades.
-pub(crate) const BUCKET_BOUNDS_NS: [u64; 6] = [
+const BUCKET_BOUNDS_NS: [u64; 6] = [
     100_000,        // 100 µs
     1_000_000,      // 1 ms
     10_000_000,     // 10 ms
@@ -23,19 +29,19 @@ pub(crate) const BUCKET_BOUNDS_NS: [u64; 6] = [
 ];
 
 /// One latency histogram: counts per bucket plus totals for averages.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub(crate) struct Histogram {
+#[derive(Debug, Default)]
+struct Histogram {
     /// `counts[i]` = observations ≤ `BUCKET_BOUNDS_NS[i]` (and above the
     /// previous bound); the last slot is the overflow bucket.
-    pub(crate) counts: [u64; BUCKET_BOUNDS_NS.len() + 1],
+    counts: [u64; BUCKET_BOUNDS_NS.len() + 1],
     /// Total observations.
-    pub(crate) count: u64,
+    count: u64,
     /// Sum of observed nanoseconds (saturating).
-    pub(crate) total_ns: u64,
+    total_ns: u64,
 }
 
 impl Histogram {
-    pub(crate) fn observe(&mut self, elapsed: Duration) {
+    fn observe(&mut self, elapsed: Duration) {
         let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
         let slot = BUCKET_BOUNDS_NS
             .iter()
@@ -47,17 +53,15 @@ impl Histogram {
     }
 }
 
-/// Shared service counters. One instance lives in the [`Scheduler`]
-/// (the object every connection already shares); the server layers its
+/// Shared service counters. One instance lives in the server's backend
+/// (the object every connection already shares); the reactor layers its
 /// connection-level counters onto the same struct so the `stats` verb
 /// has a single source.
-///
-/// [`Scheduler`]: crate::Scheduler
 #[derive(Debug)]
 pub(crate) struct Metrics {
     /// When this daemon's metrics were created — the uptime epoch the
     /// `stats` verb reports against.
-    pub(crate) started: Instant,
+    started: Instant,
     /// `map_request` lines accepted by the reactor (parse failures and
     /// overload rejections excluded).
     pub(crate) verb_map: AtomicU64,
@@ -108,18 +112,44 @@ impl Default for Metrics {
 }
 
 impl Metrics {
-    /// Milliseconds since this daemon's metrics epoch.
-    pub(crate) fn uptime_ms(&self) -> u64 {
-        u64::try_from(self.started.elapsed().as_millis()).unwrap_or(u64::MAX)
-    }
-
-    /// Snapshot of the per-verb request counters.
-    pub(crate) fn verb_counters(&self) -> crate::proto::VerbCounters {
-        crate::proto::VerbCounters {
-            map: self.verb_map.load(Ordering::Relaxed),
-            map_delta: self.verb_delta.load(Ordering::Relaxed),
-            stats: self.verb_stats.load(Ordering::Relaxed),
-            trace_dump: self.verb_trace_dump.load(Ordering::Relaxed),
+    /// The `stats` reply with every field both backends share filled
+    /// in; the backend then adds what it owns ([`Backend::stats`]).
+    ///
+    /// [`Backend::stats`]: crate::reactor::Backend::stats
+    pub(crate) fn stats_reply(
+        &self,
+        id: &str,
+        connection_limit: usize,
+        tracer: &Tracer,
+    ) -> StatsReply {
+        StatsReply {
+            id: id.to_string(),
+            uptime_ms: u64::try_from(self.started.elapsed().as_millis()).unwrap_or(u64::MAX),
+            verbs: VerbCounters {
+                map: self.verb_map.load(Ordering::Relaxed),
+                map_delta: self.verb_delta.load(Ordering::Relaxed),
+                stats: self.verb_stats.load(Ordering::Relaxed),
+                trace_dump: self.verb_trace_dump.load(Ordering::Relaxed),
+            },
+            trace: tracer.is_enabled().then(|| TraceSummary {
+                capacity: tracer.capacity(),
+                recorded: tracer.spans_recorded(),
+                dropped: tracer.spans_dropped(),
+            }),
+            queue_depth: 0,
+            connections: self.connections_active.load(Ordering::SeqCst),
+            connection_limit,
+            connections_rejected: self.connections_rejected.load(Ordering::Relaxed),
+            oversize_lines: self.oversize_lines.load(Ordering::Relaxed),
+            requests: self.requests.load(Ordering::Relaxed),
+            constructions: 0,
+            remaps: 0,
+            cancelled_items: self.items_cancelled.load(Ordering::Relaxed),
+            event_loop_wakeups: self.wakeups.load(Ordering::Relaxed),
+            cache: TierStats::default(),
+            store: None,
+            policies: Vec::new(),
+            shards: Vec::new(),
         }
     }
 
@@ -129,11 +159,25 @@ impl Metrics {
         map.entry(policy.to_string()).or_default().observe(elapsed);
     }
 
-    /// Snapshot of every policy histogram (deterministic order).
-    pub(crate) fn latency_snapshot(&self) -> Vec<(String, Histogram)> {
+    /// Snapshot of every policy histogram as its wire value
+    /// (deterministic order).
+    pub(crate) fn policy_latencies(&self) -> Vec<PolicyLatency> {
         self.lock()
             .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
+            .map(|(policy, h)| PolicyLatency {
+                policy: policy.clone(),
+                count: h.count,
+                total_ns: h.total_ns,
+                buckets: h
+                    .counts
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &count)| LatencyBucket {
+                        le_ns: BUCKET_BOUNDS_NS.get(i).copied(),
+                        count,
+                    })
+                    .collect(),
+            })
             .collect()
     }
 
@@ -216,10 +260,10 @@ mod tests {
         metrics.observe_latency("restarts", Duration::from_millis(2));
         metrics.observe_latency("greedy", Duration::from_micros(10));
         metrics.observe_latency("greedy", Duration::from_micros(20));
-        let snap = metrics.latency_snapshot();
+        let snap = metrics.policy_latencies();
         assert_eq!(snap.len(), 2);
-        assert_eq!(snap[0].0, "greedy");
-        assert_eq!(snap[0].1.count, 2);
-        assert_eq!(snap[1].0, "restarts");
+        assert_eq!(snap[0].policy, "greedy");
+        assert_eq!(snap[0].count, 2);
+        assert_eq!(snap[1].policy, "restarts");
     }
 }

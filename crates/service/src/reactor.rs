@@ -45,7 +45,7 @@ use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::os::fd::{AsRawFd, RawFd};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -56,9 +56,8 @@ use crate::error::ServiceError;
 use crate::metrics::{ConnectionSlot, Metrics};
 use crate::proto::{
     ItemError, ItemPayload, MapDeltaRequest, MapDone, MapItem, MapRequest, RequestLine, StatsReply,
-    StatsRequest, TraceDumpReply, TraceDumpRequest,
+    TraceDumpReply, TraceDumpRequest,
 };
-use crate::scheduler::ClientId;
 
 /// Parsed-but-unserved lines a connection may queue before its reads
 /// pause (resumed as the queue drains).
@@ -68,7 +67,7 @@ const MAX_PENDING: usize = 64;
 /// blasting peer cannot monopolize its worker's loop.
 const READ_QUANTUM: usize = 256 << 10;
 
-/// What serves requests behind the reactor: the local scheduler+mapper
+/// What serves requests behind the reactor: the local scheduler
 /// ([`Server::bind`]) or the consistent-hash shard router
 /// ([`Server::bind_router`]). Submissions must **never block** — they
 /// run on an event-loop worker.
@@ -76,8 +75,6 @@ const READ_QUANTUM: usize = 256 << 10;
 /// [`Server::bind`]: crate::Server::bind
 /// [`Server::bind_router`]: crate::Server::bind_router
 pub(crate) trait Backend: Send + Sync + 'static {
-    /// Mints the fairness bucket for one connection.
-    fn register_client(&self) -> ClientId;
     /// The shared counters the reactor layers its own onto.
     fn metrics(&self) -> &Arc<Metrics>;
     /// The span collector (disabled unless the server traces).
@@ -88,7 +85,6 @@ pub(crate) trait Backend: Send + Sync + 'static {
     /// nests its own spans (queue wait, forward hop, …) beneath it.
     fn submit_map(
         &self,
-        client: ClientId,
         req: &MapRequest,
         sink: &ConnSink,
         trace: Option<TraceCtx>,
@@ -96,14 +92,14 @@ pub(crate) trait Backend: Send + Sync + 'static {
     /// Starts serving an incremental remap (same contract).
     fn submit_delta(
         &self,
-        client: ClientId,
         req: &MapDeltaRequest,
         sink: &ConnSink,
         trace: Option<TraceCtx>,
     ) -> Result<usize, ServiceError>;
-    /// Builds the observability snapshot (answered inline — must not
-    /// block on I/O).
-    fn stats(&self, req: &StatsRequest) -> StatsReply;
+    /// Adds the fields this backend owns to a `stats` reply whose shared
+    /// fields [`Metrics::stats_reply`] filled (answered inline — must
+    /// not block on I/O).
+    fn stats(&self, reply: &mut StatsReply);
     /// Answers a span-tree dump from the collector (answered inline).
     fn trace_dump(&self, req: &TraceDumpRequest) -> TraceDumpReply {
         let tracer = self.tracer();
@@ -138,20 +134,40 @@ pub(crate) struct ReactorLimits {
 /// worker. Cloned into every job of the connection's in-flight request.
 #[derive(Debug, Clone)]
 pub(crate) struct ConnSink {
-    token: u64,
+    id: u64,
     tx: Sender<(u64, MapItem)>,
     waker: Arc<poll::Waker>,
     cancelled: Arc<AtomicBool>,
 }
 
 impl ConnSink {
+    /// The sink of a fresh connection owned by `worker`.
+    pub(crate) fn new(worker: &WorkerShared) -> ConnSink {
+        // One counter for every event loop: the id is also the
+        // connection's fairness bucket in the scheduler, so connections
+        // on different loops must never share one. Id 0 is the waker's
+        // poll slot.
+        static NEXT_ID: AtomicU64 = AtomicU64::new(1);
+        ConnSink {
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+            tx: worker.completions_tx.clone(),
+            waker: Arc::clone(&worker.waker),
+            cancelled: Arc::new(AtomicBool::new(false)),
+        }
+    }
+
+    /// The owning connection's id, unique within the process.
+    pub(crate) fn id(&self) -> u64 {
+        self.id
+    }
+
     /// Delivers one completed item (dropped silently when the
     /// connection is already gone) and wakes the owning worker.
     pub(crate) fn send(&self, item: MapItem) {
         if self.cancelled.load(Ordering::Relaxed) {
             return;
         }
-        let _ = self.tx.send((self.token, item));
+        let _ = self.tx.send((self.id, item));
         self.waker.wake();
     }
 
@@ -161,7 +177,9 @@ impl ConnSink {
         self.cancelled.load(Ordering::Relaxed)
     }
 
-    fn cancel(&self) {
+    /// Marks the owning connection as gone: queued work is skipped and
+    /// late items are dropped.
+    pub(crate) fn cancel(&self) {
         self.cancelled.store(true, Ordering::Relaxed);
     }
 }
@@ -323,7 +341,6 @@ struct Conn {
     fd: RawFd,
     /// RAII connection-count claim; released whenever the conn drops.
     _slot: ConnectionSlot,
-    client: ClientId,
     sink: ConnSink,
     scanner: LineScanner,
     pending: VecDeque<Pending>,
@@ -411,7 +428,6 @@ pub(crate) fn event_loop(
     let mut pollfds: Vec<(RawFd, poll::Interest)> = Vec::new();
     let mut readiness: Vec<poll::Readiness> = Vec::new();
     let mut scanned: Vec<Scanned> = Vec::new();
-    let mut next_token: u64 = 1;
     let mut deadline: Option<Instant> = None;
 
     loop {
@@ -432,7 +448,7 @@ pub(crate) fn event_loop(
                     writable: !conn.wbuf.is_empty(),
                 },
             ));
-            tokens.push(conn.sink.token);
+            tokens.push(conn.sink.id);
         }
 
         let timeout = deadline.map(|d| d.saturating_duration_since(Instant::now()));
@@ -462,19 +478,11 @@ pub(crate) fn event_loop(
             // let Nagle delay a small batch further.
             let _ = stream.set_nodelay(true);
             let fd = stream.as_raw_fd();
-            let sink = ConnSink {
-                token: next_token,
-                tx: shared.completions_tx.clone(),
-                waker: Arc::clone(&shared.waker),
-                cancelled: Arc::new(AtomicBool::new(false)),
-            };
-            next_token += 1;
             conns.push(Conn {
                 stream,
                 fd,
                 _slot: slot,
-                client: backend.register_client(),
-                sink,
+                sink: ConnSink::new(shared),
                 scanner: LineScanner::new(limits.max_line_bytes),
                 pending: VecDeque::new(),
                 inflight: None,
@@ -489,7 +497,7 @@ pub(crate) fn event_loop(
 
         // Deliver completed items into their connections' write buffers.
         while let Ok((token, item)) = completions.try_recv() {
-            if let Some(conn) = conns.iter_mut().find(|c| c.sink.token == token) {
+            if let Some(conn) = conns.iter_mut().find(|c| c.sink.id == token) {
                 on_item(conn, item, &tracer);
             }
         }
@@ -501,7 +509,7 @@ pub(crate) fn event_loop(
                 continue;
             }
             let token = tokens[i];
-            let Some(conn) = conns.iter_mut().find(|c| c.sink.token == token) else {
+            let Some(conn) = conns.iter_mut().find(|c| c.sink.id == token) else {
                 continue;
             };
             if r.readable || r.hangup || r.error {
@@ -681,30 +689,23 @@ fn on_item(conn: &mut Conn, item: MapItem, tracer: &Tracer) {
     }
     conn.wbuf.push_line(&item.to_line());
     if inflight.received >= inflight.expected {
-        let done = MapDone {
-            id: inflight.id.clone(),
-            items: inflight.received,
-            errors: inflight.errors,
-        };
-        conn.wbuf.push_line(&done.to_line());
-        // The response is fully buffered: close the root `request`
-        // span and arm the `write.drain` span for the flush path.
-        if let Some(t) = inflight.trace {
-            let buffered_ns = now_ns();
-            tracer.record_span_id(
-                t.root_span,
-                TraceCtx {
-                    trace_id: t.trace_id,
-                    parent_span: t.root_parent,
-                },
-                "request",
-                t.started_ns,
-                buffered_ns,
-            );
-            conn.drain_trace = Some((t, buffered_ns));
-        }
-        conn.inflight = None;
+        on_done(conn, tracer);
     }
+}
+
+/// Closes the in-flight response: buffers its `map_done` line and its
+/// root span.
+fn on_done(conn: &mut Conn, tracer: &Tracer) {
+    let Some(inflight) = conn.inflight.take() else {
+        return;
+    };
+    let done = MapDone {
+        id: inflight.id,
+        items: inflight.received,
+        errors: inflight.errors,
+    };
+    conn.wbuf.push_line(&done.to_line());
+    close_root_span(conn, tracer, inflight.trace);
 }
 
 /// Emits a request-level error reply (one typed item + `map_done`).
@@ -759,7 +760,8 @@ fn serve_pending(
             Pending::Request(line, trace) => match *line {
                 RequestLine::Stats(req) => {
                     metrics.verb_stats.fetch_add(1, Ordering::Relaxed);
-                    let reply = backend.stats(&req);
+                    let mut reply = metrics.stats_reply(&req.id, limits.max_connections, tracer);
+                    backend.stats(&mut reply);
                     conn.wbuf.push_line(&reply.to_line());
                 }
                 RequestLine::TraceDump(req) => {
@@ -769,78 +771,59 @@ fn serve_pending(
                 }
                 RequestLine::Map(req) => {
                     let trace = observe_queue_wait(tracer, trace);
-                    let ctx = trace.map(|t| t.ctx());
-                    match backend.submit_map(conn.client, &req, &conn.sink, ctx) {
-                        Ok(0) => {
-                            metrics.verb_map.fetch_add(1, Ordering::Relaxed);
-                            conn.wbuf.push_line(
-                                &MapDone {
-                                    id: req.id.clone(),
-                                    items: 0,
-                                    errors: 0,
-                                }
-                                .to_line(),
-                            );
-                            close_root_span(conn, tracer, trace);
-                        }
-                        Ok(expected) => {
-                            metrics.verb_map.fetch_add(1, Ordering::Relaxed);
-                            conn.inflight = Some(Inflight {
-                                id: req.id.clone(),
-                                expected,
-                                received: 0,
-                                errors: 0,
-                                trace,
-                            });
-                        }
-                        Err(e) => {
-                            error_reply(
-                                conn,
-                                &req.id.clone(),
-                                ItemError {
-                                    code: e.code().to_string(),
-                                    message: e.to_string(),
-                                },
-                            );
-                            close_root_span(conn, tracer, trace);
-                        }
-                    }
+                    let submitted = backend.submit_map(&req, &conn.sink, trace.map(|t| t.ctx()));
+                    start_response(conn, req.id, &metrics.verb_map, submitted, trace, tracer);
                 }
                 RequestLine::Delta(req) => {
                     let trace = observe_queue_wait(tracer, trace);
-                    let ctx = trace.map(|t| t.ctx());
-                    match backend.submit_delta(conn.client, &req, &conn.sink, ctx) {
-                        Ok(expected) => {
-                            metrics.verb_delta.fetch_add(1, Ordering::Relaxed);
-                            conn.inflight = Some(Inflight {
-                                id: req.id.clone(),
-                                expected,
-                                received: 0,
-                                errors: 0,
-                                trace,
-                            });
-                        }
-                        Err(e) => {
-                            error_reply(
-                                conn,
-                                &req.id.clone(),
-                                ItemError {
-                                    code: e.code().to_string(),
-                                    message: e.to_string(),
-                                },
-                            );
-                            close_root_span(conn, tracer, trace);
-                        }
-                    }
+                    let submitted = backend.submit_delta(&req, &conn.sink, trace.map(|t| t.ctx()));
+                    start_response(conn, req.id, &metrics.verb_delta, submitted, trace, tracer);
                 }
             },
         }
     }
 }
 
-/// Records the root `request` span of a request answered without going
-/// in-flight (empty batch or typed submit error) and arms the
-/// `write.drain` span.
+/// Puts a submitted request in flight (counting it under its verb), or
+/// answers a refused one with a single typed error.
+fn start_response(
+    conn: &mut Conn,
+    id: String,
+    verb_counter: &AtomicU64,
+    submitted: Result<usize, ServiceError>,
+    trace: Option<ReqTrace>,
+    tracer: &Tracer,
+) {
+    match submitted {
+        Ok(expected) => {
+            verb_counter.fetch_add(1, Ordering::Relaxed);
+            conn.inflight = Some(Inflight {
+                id,
+                expected,
+                received: 0,
+                errors: 0,
+                trace,
+            });
+            if expected == 0 {
+                on_done(conn, tracer);
+            }
+        }
+        Err(e) => {
+            error_reply(
+                conn,
+                &id,
+                ItemError {
+                    code: e.code().to_string(),
+                    message: e.to_string(),
+                },
+            );
+            close_root_span(conn, tracer, trace);
+        }
+    }
+}
+
+/// Records the root `request` span of a fully buffered response and
+/// arms the `write.drain` span for the flush path.
 fn close_root_span(conn: &mut Conn, tracer: &Tracer, trace: Option<ReqTrace>) {
     if let Some(t) = trace {
         let buffered_ns = now_ns();
@@ -881,18 +864,6 @@ fn reject_pending_for_shutdown(conn: &mut Conn) {
                 message: e.to_string(),
             },
         );
-    }
-}
-
-/// Test-only sink bound to a worker handle, for exercising queue and
-/// sink plumbing without a live socket.
-#[cfg(test)]
-pub(crate) fn test_sink(shared: &WorkerShared) -> ConnSink {
-    ConnSink {
-        token: 1,
-        tx: shared.completions_tx.clone(),
-        waker: Arc::clone(&shared.waker),
-        cancelled: Arc::new(AtomicBool::new(false)),
     }
 }
 

@@ -46,10 +46,9 @@ use crate::error::ServiceError;
 use crate::metrics::Metrics;
 use crate::proto::{
     ItemError, ItemPayload, MapDeltaRequest, MapItem, MapRequest, ResponseLine, ShardStats,
-    StatsReply, StatsRequest, TierStats, TraceSummary,
+    StatsReply,
 };
-use crate::reactor::{Backend, ConnSink, ReactorLimits};
-use crate::scheduler::ClientId;
+use crate::reactor::{Backend, ConnSink};
 
 /// Virtual points per shard on the ring: enough to keep the keyspace
 /// split within a few percent of even for small shard counts.
@@ -238,9 +237,7 @@ pub(crate) struct RouterBackend {
     shards: Vec<Shard>,
     ring: HashRing,
     metrics: Arc<Metrics>,
-    limits: ReactorLimits,
     tracer: Tracer,
-    next_client: AtomicU64,
 }
 
 impl RouterBackend {
@@ -250,7 +247,6 @@ impl RouterBackend {
     pub(crate) fn new(
         shard_addrs: &[String],
         shard_queue: usize,
-        limits: ReactorLimits,
         tracer: Tracer,
     ) -> std::io::Result<RouterBackend> {
         let metrics = Arc::new(Metrics::default());
@@ -279,9 +275,7 @@ impl RouterBackend {
             ring: HashRing::new(shard_addrs),
             shards,
             metrics,
-            limits,
             tracer,
-            next_client: AtomicU64::new(0),
         })
     }
 
@@ -307,10 +301,6 @@ impl RouterBackend {
 }
 
 impl Backend for RouterBackend {
-    fn register_client(&self) -> ClientId {
-        ClientId::from_raw(self.next_client.fetch_add(1, Ordering::Relaxed))
-    }
-
     fn metrics(&self) -> &Arc<Metrics> {
         &self.metrics
     }
@@ -321,7 +311,6 @@ impl Backend for RouterBackend {
 
     fn submit_map(
         &self,
-        _client: ClientId,
         req: &MapRequest,
         sink: &ConnSink,
         trace: Option<TraceCtx>,
@@ -365,7 +354,6 @@ impl Backend for RouterBackend {
 
     fn submit_delta(
         &self,
-        _client: ClientId,
         req: &MapDeltaRequest,
         sink: &ConnSink,
         trace: Option<TraceCtx>,
@@ -393,8 +381,12 @@ impl Backend for RouterBackend {
         Ok(1)
     }
 
-    fn stats(&self, req: &StatsRequest) -> StatsReply {
-        let shards = self
+    /// Constructions, caches and latency histograms live on the shards
+    /// (probe them directly); the router adds only its queue depth and
+    /// per-shard health.
+    fn stats(&self, reply: &mut StatsReply) {
+        reply.queue_depth = self.shards.iter().map(|s| s.queue.len()).sum();
+        reply.shards = self
             .shards
             .iter()
             .map(|s| ShardStats {
@@ -406,33 +398,6 @@ impl Backend for RouterBackend {
                 shed: s.counters.shed.load(Ordering::Relaxed),
             })
             .collect();
-        StatsReply {
-            id: req.id.clone(),
-            uptime_ms: self.metrics.uptime_ms(),
-            verbs: self.metrics.verb_counters(),
-            trace: self.tracer.is_enabled().then(|| TraceSummary {
-                capacity: self.tracer.capacity(),
-                recorded: self.tracer.spans_recorded(),
-                dropped: self.tracer.spans_dropped(),
-            }),
-            queue_depth: self.shards.iter().map(|s| s.queue.len()).sum(),
-            connections: self.metrics.connections_active.load(Ordering::SeqCst),
-            connection_limit: self.limits.max_connections,
-            connections_rejected: self.metrics.connections_rejected.load(Ordering::Relaxed),
-            oversize_lines: self.metrics.oversize_lines.load(Ordering::Relaxed),
-            requests: self.metrics.requests.load(Ordering::Relaxed),
-            // Constructions, caches and latency histograms live on the
-            // shards (probe them directly); the router reports its own
-            // traffic plus per-shard health.
-            constructions: 0,
-            remaps: 0,
-            cancelled_items: self.metrics.items_cancelled.load(Ordering::Relaxed),
-            event_loop_wakeups: self.metrics.wakeups.load(Ordering::Relaxed),
-            cache: TierStats::default(),
-            store: None,
-            policies: Vec::new(),
-            shards,
-        }
     }
 
     fn drain(&self) {
@@ -711,13 +676,13 @@ mod tests {
     #[test]
     fn shard_queue_bounds_and_drains() {
         let q = ShardQueue::new(2);
-        let sink_parts = crate::reactor::worker_pair().expect("pair");
+        let (worker, _completions) = crate::reactor::worker_pair().expect("pair");
         let mk = || ShardJob {
             payload: ShardPayload::Map {
                 sub: MapRequest::new("r", vec![]),
                 orig: vec![],
             },
-            sink: crate::reactor::test_sink(&sink_parts.0),
+            sink: ConnSink::new(&worker),
             trace: None,
         };
         assert!(q.try_push(mk()).is_ok());

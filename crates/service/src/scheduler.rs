@@ -1,17 +1,17 @@
-//! The bounded-queue request scheduler: accepts [`MapRequest`]s, fans
-//! their items onto `vendor/parallel` scoped workers through the shared
-//! [`Mapper`] cache, and streams one [`MapItem`] per Hamiltonian **as it
-//! completes** over a per-request channel.
+//! The bounded-queue request scheduler behind [`Server::bind`]: queues
+//! the items of every map and remap request, fans them onto
+//! `vendor/parallel` scoped workers through the shared [`Mapper`]
+//! cache, and streams one [`MapItem`] per item **as it completes** into
+//! the requesting connection's [`ConnSink`].
 //!
 //! ## Design
 //!
-//! * **Bounded queue.** [`Scheduler::submit`] blocks while the job
-//!   queue is at capacity (backpressure toward the socket);
-//!   [`Scheduler::try_submit`] instead fails fast with
-//!   [`ServiceError::Overloaded`] — the knob a front-end uses to shed
-//!   load.
-//! * **Per-client fairness.** Jobs are queued per [`ClientId`] (the
-//!   server mints one per connection) and the dispatcher drains clients
+//! * **Bounded queue, never blocking.** Submissions run on an
+//!   event-loop worker, which must not stall every connection it owns
+//!   on one full queue: a request whose items do not all fit is shed
+//!   whole with [`ServiceError::Overloaded`].
+//! * **Per-connection fairness.** Jobs are queued under their
+//!   connection's id and the dispatcher drains connections
 //!   round-robin, one job each per turn — a chatty client with a huge
 //!   batch cannot monopolize the queue ahead of a small request from
 //!   another connection.
@@ -28,25 +28,10 @@
 //!   item never poisons its batch, and no panic is reachable from
 //!   request data.
 //!
-//! # Examples
-//!
-//! ```
-//! use std::sync::Arc;
-//! use hatt_core::Mapper;
-//! use hatt_fermion::MajoranaSum;
-//! use hatt_service::{MapRequest, Scheduler, SchedulerConfig};
-//!
-//! let scheduler = Scheduler::new(Arc::new(Mapper::new()), SchedulerConfig::default())?;
-//! let req = MapRequest::new("r", vec![MajoranaSum::uniform_singles(2)]);
-//! let rx = scheduler.submit(&req)?;
-//! let item = rx.recv().unwrap();
-//! assert!(item.is_ok());
-//! # Ok::<(), hatt_service::ServiceError>(())
-//! ```
+//! [`Server::bind`]: crate::Server::bind
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -58,8 +43,10 @@ use hatt_trace::{now_ns, TraceCtx, Tracer};
 
 use crate::error::ServiceError;
 use crate::metrics::Metrics;
-use crate::proto::{ItemError, ItemPayload, MapDeltaRequest, MapItem, MapRequest};
-use crate::reactor::ConnSink;
+use crate::proto::{
+    ItemError, ItemPayload, MapDeltaRequest, MapItem, MapRequest, StatsReply, TierStats,
+};
+use crate::reactor::{Backend, ConnSink};
 
 /// Scheduler sizing.
 #[derive(Debug, Clone)]
@@ -68,8 +55,8 @@ pub struct SchedulerConfig {
     /// [`parallel::max_threads`], i.e. `HATT_THREADS` or the hardware
     /// count).
     pub workers: usize,
-    /// Maximum queued (not yet dispatched) jobs before `submit` blocks
-    /// and `try_submit` sheds load.
+    /// Maximum queued (not yet dispatched) jobs. A request whose items
+    /// do not all fit is shed whole with a typed `overloaded` error.
     pub queue_capacity: usize,
 }
 
@@ -78,36 +65,6 @@ impl Default for SchedulerConfig {
         SchedulerConfig {
             workers: parallel::max_threads(),
             queue_capacity: 256,
-        }
-    }
-}
-
-/// Where one job's finished [`MapItem`] goes.
-enum JobSink {
-    /// The in-process API path: a per-request channel the caller holds
-    /// the receiving end of ([`Scheduler::submit`] and friends).
-    Channel(Sender<MapItem>),
-    /// The event-loop path: completions are tagged with the owning
-    /// connection token and the owning reactor worker is woken.
-    Conn(ConnSink),
-}
-
-impl JobSink {
-    fn send(&self, item: MapItem) {
-        match self {
-            // A dropped receiver (caller went away) is not an error —
-            // the work is already done and cached.
-            JobSink::Channel(tx) => drop(tx.send(item)),
-            JobSink::Conn(sink) => sink.send(item),
-        }
-    }
-
-    /// Whether the destination hung up before this job ran — the signal
-    /// to skip the work entirely.
-    fn cancelled(&self) -> bool {
-        match self {
-            JobSink::Channel(_) => false,
-            JobSink::Conn(sink) => sink.is_cancelled(),
         }
     }
 }
@@ -142,33 +99,19 @@ struct Job {
     id: String,
     options: HattOptions,
     work: Work,
-    sink: JobSink,
+    sink: ConnSink,
     trace: Option<JobTrace>,
 }
 
-/// Identifies one submission source (typically: one connection) for the
-/// round-robin fairness of the queue. Mint with
-/// [`Scheduler::register_client`]; plain [`Scheduler::submit`] mints a
-/// fresh one per call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct ClientId(u64);
-
-impl ClientId {
-    /// Builds a client id from a raw counter value — for submission
-    /// sources that mint their own ids (the shard router has no
-    /// scheduler to register with).
-    pub(crate) fn from_raw(raw: u64) -> ClientId {
-        ClientId(raw)
-    }
-}
-
-/// A queue of jobs bucketed by client, drained round-robin: each drain
-/// turn takes one job from the least-recently-served non-empty client.
-/// `BTreeMap` (not a hash map) keeps the client order deterministic.
+/// A queue of jobs bucketed by connection id, drained round-robin: each
+/// drain turn takes one job from the least-recently-served non-empty
+/// connection. The turn order is the `rotation` (first arrival), never
+/// the ids' values; `BTreeMap` (not a hash map) keeps lookups
+/// deterministic.
 struct FairQueue<T> {
     queues: BTreeMap<u64, VecDeque<T>>,
-    /// Non-empty clients in service order; a client re-joins at the back
-    /// after each served job.
+    /// Non-empty connections in service order; a connection re-joins at
+    /// the back after each served job.
     rotation: VecDeque<u64>,
     len: usize,
 }
@@ -184,23 +127,23 @@ impl<T> Default for FairQueue<T> {
 }
 
 impl<T> FairQueue<T> {
-    fn push(&mut self, client: ClientId, item: T) {
-        let queue = self.queues.entry(client.0).or_default();
+    fn push(&mut self, conn: u64, item: T) {
+        let queue = self.queues.entry(conn).or_default();
         if queue.is_empty() {
-            self.rotation.push_back(client.0);
+            self.rotation.push_back(conn);
         }
         queue.push_back(item);
         self.len += 1;
     }
 
-    /// Removes up to `max` items, one per client per rotation turn.
+    /// Removes up to `max` items, one per connection per rotation turn.
     fn drain(&mut self, max: usize) -> Vec<T> {
         let mut out = Vec::new();
         while out.len() < max {
-            let Some(client) = self.rotation.pop_front() else {
+            let Some(conn) = self.rotation.pop_front() else {
                 break;
             };
-            let Some(queue) = self.queues.get_mut(&client) else {
+            let Some(queue) = self.queues.get_mut(&conn) else {
                 continue;
             };
             if let Some(item) = queue.pop_front() {
@@ -208,9 +151,9 @@ impl<T> FairQueue<T> {
                 self.len -= 1;
             }
             if queue.is_empty() {
-                self.queues.remove(&client);
+                self.queues.remove(&conn);
             } else {
-                self.rotation.push_back(client);
+                self.rotation.push_back(conn);
             }
         }
         out
@@ -231,15 +174,13 @@ struct QueueState {
 }
 
 struct Shared {
-    mapper: Arc<Mapper>,
+    mapper: Mapper,
     metrics: Arc<Metrics>,
     tracer: Tracer,
     workers: usize,
     capacity: usize,
-    next_client: AtomicU64,
     state: Mutex<QueueState>,
     not_empty: Condvar,
-    not_full: Condvar,
 }
 
 impl Shared {
@@ -248,38 +189,23 @@ impl Shared {
     }
 }
 
-/// The bounded-queue scheduler (see the crate docs for the design).
-#[derive(Debug)]
-pub struct Scheduler {
+/// The bounded-queue scheduler (see the module docs for the design):
+/// the backend of a single daemon, owning its [`Mapper`].
+pub(crate) struct Scheduler {
     shared: Arc<Shared>,
     dispatcher: Mutex<Option<JoinHandle<()>>>,
 }
 
-impl std::fmt::Debug for Shared {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Shared")
-            .field("workers", &self.workers)
-            .field("capacity", &self.capacity)
-            .finish_non_exhaustive()
-    }
-}
-
 impl Scheduler {
-    /// Starts a scheduler over `mapper` (shared with the caller — e.g.
-    /// the server also answering in-process queries).
+    /// Starts a scheduler over `mapper`; traced jobs record their queue
+    /// wait and dispatch under the request's trace in `tracer`.
     ///
     /// # Errors
     ///
     /// Fails when the dispatcher thread cannot be spawned (resource
     /// exhaustion).
-    pub fn new(mapper: Arc<Mapper>, config: SchedulerConfig) -> std::io::Result<Scheduler> {
-        Self::with_tracer(mapper, config, Tracer::disabled())
-    }
-
-    /// [`Scheduler::new`] with a span collector: traced jobs record
-    /// their queue wait and dispatch under the request's trace.
-    pub(crate) fn with_tracer(
-        mapper: Arc<Mapper>,
+    pub(crate) fn new(
+        mapper: Mapper,
         config: SchedulerConfig,
         tracer: Tracer,
     ) -> std::io::Result<Scheduler> {
@@ -289,13 +215,11 @@ impl Scheduler {
             tracer,
             workers: config.workers.max(1),
             capacity: config.queue_capacity.max(1),
-            next_client: AtomicU64::new(0),
             state: Mutex::new(QueueState {
                 jobs: FairQueue::default(),
                 shutdown: false,
             }),
             not_empty: Condvar::new(),
-            not_full: Condvar::new(),
         });
         let dispatcher = {
             let shared = Arc::clone(&shared);
@@ -310,16 +234,11 @@ impl Scheduler {
     }
 
     /// Signals shutdown and joins the dispatcher: every already-queued
-    /// job is still dispatched and answered first. Idempotent, callable
-    /// through a shared reference (the server drains its backend behind
-    /// an `Arc`); [`Drop`] calls it too.
-    pub(crate) fn drain(&self) {
-        {
-            let mut state = self.shared.lock();
-            state.shutdown = true;
-        }
+    /// job is still dispatched and answered first. Idempotent; [`Drop`]
+    /// calls it too.
+    fn shutdown(&self) {
+        self.shared.lock().shutdown = true;
         self.shared.not_empty.notify_all();
-        self.shared.not_full.notify_all();
         let handle = self
             .dispatcher
             .lock()
@@ -331,194 +250,118 @@ impl Scheduler {
     }
 
     /// Jobs currently queued (not yet dispatched).
-    pub fn queue_len(&self) -> usize {
+    fn queue_len(&self) -> usize {
         self.shared.lock().jobs.len()
     }
 
-    /// The service counters shared between scheduler and server.
-    pub(crate) fn metrics(&self) -> &Arc<Metrics> {
-        &self.shared.metrics
-    }
-
-    /// The span collector shared between scheduler and server (disabled
-    /// unless the server was booted with tracing on).
-    pub(crate) fn tracer(&self) -> &Tracer {
-        &self.shared.tracer
-    }
-
-    /// The mapper every job maps through.
-    pub(crate) fn mapper(&self) -> &Arc<Mapper> {
-        &self.shared.mapper
-    }
-
-    /// Mints a fresh fairness bucket. The server registers one client
-    /// per connection so the round-robin drain interleaves
-    /// *connections*, whatever their batch sizes.
-    pub fn register_client(&self) -> ClientId {
-        ClientId(self.shared.next_client.fetch_add(1, Ordering::Relaxed))
-    }
-
-    /// Enqueues every item of `req`, blocking while the queue is full
-    /// (backpressure). Returns the channel on which one [`MapItem`] per
-    /// Hamiltonian arrives in completion order; the channel disconnects
-    /// after the last item. Each call is its own fairness bucket; use
-    /// [`Scheduler::submit_from`] to pool several requests under one
-    /// [`ClientId`].
-    pub fn submit(&self, req: &MapRequest) -> Result<Receiver<MapItem>, ServiceError> {
-        self.submit_from(self.register_client(), req)
-    }
-
-    /// Like [`Scheduler::submit`] but fails fast with
-    /// [`ServiceError::Overloaded`] when the queue cannot take the whole
-    /// request right now.
-    pub fn try_submit(&self, req: &MapRequest) -> Result<Receiver<MapItem>, ServiceError> {
-        self.enqueue(self.register_client(), req, false)
-    }
-
-    /// [`Scheduler::submit`] under an explicit fairness bucket: all
-    /// requests submitted under one [`ClientId`] share a single
-    /// round-robin turn against other clients.
-    pub fn submit_from(
-        &self,
-        client: ClientId,
-        req: &MapRequest,
-    ) -> Result<Receiver<MapItem>, ServiceError> {
-        self.enqueue(client, req, true)
-    }
-
+    /// Queues one request's `work` under its connection's fairness
+    /// bucket, or sheds the whole request when it does not fit. Returns
+    /// the number of items the caller should await.
     fn enqueue(
         &self,
-        client: ClientId,
-        req: &MapRequest,
-        block: bool,
-    ) -> Result<Receiver<MapItem>, ServiceError> {
-        let (tx, rx) = channel();
-        let options = req.options.unwrap_or(*self.shared.mapper.options());
-        let mut state = self.shared.lock();
-        if !block && state.jobs.len() + req.hamiltonians.len() > self.shared.capacity {
-            return Err(ServiceError::Overloaded);
-        }
-        for (index, h) in req.hamiltonians.iter().enumerate() {
-            while state.jobs.len() >= self.shared.capacity {
-                if state.shutdown {
-                    return Err(ServiceError::ShuttingDown);
-                }
-                state = self
-                    .shared
-                    .not_full
-                    .wait(state)
-                    .unwrap_or_else(|e| e.into_inner());
-            }
-            if state.shutdown {
-                return Err(ServiceError::ShuttingDown);
-            }
-            state.jobs.push(
-                client,
-                Job {
-                    id: req.id.clone(),
-                    options,
-                    work: Work::Map {
-                        index,
-                        h: h.clone(),
-                        expected_modes: req.n_modes,
-                    },
-                    sink: JobSink::Channel(tx.clone()),
-                    trace: None,
-                },
-            );
-            self.shared.not_empty.notify_all();
-        }
-        self.shared.metrics.requests.fetch_add(1, Ordering::Relaxed);
-        Ok(rx)
-    }
-
-    /// The event-loop submission path for a batch request: every item
-    /// completion goes through `sink` (tagged with its connection and
-    /// waking the owning reactor worker). **Never blocks** — a reactor
-    /// worker must not stall every connection it owns on one full
-    /// queue, so an oversubscribed queue sheds the request with
-    /// [`ServiceError::Overloaded`] instead of applying backpressure.
-    /// Returns the number of items the caller should await.
-    pub(crate) fn submit_conn(
-        &self,
-        client: ClientId,
-        req: &MapRequest,
+        id: &str,
+        options: Option<HattOptions>,
+        work: Vec<Work>,
         sink: &ConnSink,
         trace: Option<TraceCtx>,
     ) -> Result<usize, ServiceError> {
-        let options = req.options.unwrap_or(*self.shared.mapper.options());
+        let options = options.unwrap_or(*self.shared.mapper.options());
         let enqueued_ns = trace.map(|_| now_ns()).unwrap_or_default();
+        let n = work.len();
         let mut state = self.shared.lock();
         if state.shutdown {
             return Err(ServiceError::ShuttingDown);
         }
-        if state.jobs.len() + req.hamiltonians.len() > self.shared.capacity {
+        if state.jobs.len() + n > self.shared.capacity {
             return Err(ServiceError::Overloaded);
         }
-        for (index, h) in req.hamiltonians.iter().enumerate() {
+        for work in work {
             state.jobs.push(
-                client,
+                sink.id(),
                 Job {
-                    id: req.id.clone(),
+                    id: id.to_string(),
                     options,
-                    work: Work::Map {
-                        index,
-                        h: h.clone(),
-                        expected_modes: req.n_modes,
-                    },
-                    sink: JobSink::Conn(sink.clone()),
+                    work,
+                    sink: sink.clone(),
                     trace: trace.map(|ctx| JobTrace { ctx, enqueued_ns }),
                 },
             );
         }
         self.shared.not_empty.notify_all();
         self.shared.metrics.requests.fetch_add(1, Ordering::Relaxed);
-        Ok(req.hamiltonians.len())
+        Ok(n)
+    }
+}
+
+impl Backend for Scheduler {
+    fn metrics(&self) -> &Arc<Metrics> {
+        &self.shared.metrics
     }
 
-    /// The event-loop submission path for an incremental remap: one
-    /// queued job, same shedding contract as [`Scheduler::submit_conn`].
-    /// Running the remap through the queue (instead of inline on a
-    /// connection thread, as the thread-per-connection server did)
-    /// keeps the reactor worker free while the frontier re-scores.
-    pub(crate) fn submit_delta_conn(
+    fn tracer(&self) -> &Tracer {
+        &self.shared.tracer
+    }
+
+    fn submit_map(
         &self,
-        client: ClientId,
+        req: &MapRequest,
+        sink: &ConnSink,
+        trace: Option<TraceCtx>,
+    ) -> Result<usize, ServiceError> {
+        let work = req
+            .hamiltonians
+            .iter()
+            .enumerate()
+            .map(|(index, h)| Work::Map {
+                index,
+                h: h.clone(),
+                expected_modes: req.n_modes,
+            })
+            .collect();
+        self.enqueue(&req.id, req.options, work, sink, trace)
+    }
+
+    /// Runs the remap through the queue, like a one-item batch, so the
+    /// reactor worker stays free while the frontier re-scores.
+    fn submit_delta(
+        &self,
         req: &MapDeltaRequest,
         sink: &ConnSink,
         trace: Option<TraceCtx>,
     ) -> Result<usize, ServiceError> {
-        let options = req.options.unwrap_or(*self.shared.mapper.options());
-        let enqueued_ns = trace.map(|_| now_ns()).unwrap_or_default();
-        let mut state = self.shared.lock();
-        if state.shutdown {
-            return Err(ServiceError::ShuttingDown);
-        }
-        if state.jobs.len() >= self.shared.capacity {
-            return Err(ServiceError::Overloaded);
-        }
-        state.jobs.push(
-            client,
-            Job {
-                id: req.id.clone(),
-                options,
-                work: Work::Remap {
-                    hamiltonian: req.hamiltonian.clone(),
-                    delta: req.delta.clone(),
-                },
-                sink: JobSink::Conn(sink.clone()),
-                trace: trace.map(|ctx| JobTrace { ctx, enqueued_ns }),
-            },
-        );
-        self.shared.not_empty.notify_all();
-        self.shared.metrics.requests.fetch_add(1, Ordering::Relaxed);
-        Ok(1)
+        let work = vec![Work::Remap {
+            hamiltonian: req.hamiltonian.clone(),
+            delta: req.delta.clone(),
+        }];
+        self.enqueue(&req.id, req.options, work, sink, trace)
+    }
+
+    fn stats(&self, reply: &mut StatsReply) {
+        let mapper = &self.shared.mapper;
+        let cache = mapper.cache();
+        reply.queue_depth = self.queue_len();
+        reply.constructions = cache.constructions();
+        reply.remaps = cache.remaps();
+        reply.cache = TierStats {
+            hits: cache.hits(),
+            misses: cache.misses(),
+            entries: cache.len(),
+        };
+        reply.store = mapper.store_stats();
+        reply.policies = self.shared.metrics.policy_latencies();
+    }
+
+    fn drain(&self) {
+        self.shutdown();
+        // Everything that will ever be written through this server has
+        // been; make the store tier durable.
+        let _ = self.shared.mapper.sync_store();
     }
 }
 
 impl Drop for Scheduler {
     fn drop(&mut self) {
-        self.drain();
+        self.shutdown();
     }
 }
 
@@ -547,16 +390,14 @@ fn dispatch_loop(shared: &Shared) {
             // round-robin across clients, so a round mixes every waiting
             // connection instead of exhausting the chattiest one first.
             let take = state.jobs.len().min(shared.workers * 2);
-            let batch = state.jobs.drain(take);
-            shared.not_full.notify_all();
-            batch
+            state.jobs.drain(take)
         };
         // Disconnect cancellation: a job whose connection hung up is
         // dead weight — skip the construction entirely. The check sits
         // here (per dispatch round, not only at enqueue) so a client
         // dropping mid-batch stops burning workers within one round.
         let (batch, cancelled): (Vec<Job>, Vec<Job>) =
-            batch.into_iter().partition(|job| !job.sink.cancelled());
+            batch.into_iter().partition(|job| !job.sink.is_cancelled());
         if !cancelled.is_empty() {
             shared
                 .metrics
@@ -668,37 +509,64 @@ fn check_modes(h: &MajoranaSum, expected_modes: Option<usize>) -> Result<(), Hat
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc::Receiver;
+    use std::time::Duration;
+
     use hatt_pauli::Complex64;
 
-    fn collect(rx: Receiver<MapItem>, n: usize) -> Vec<MapItem> {
-        let mut items: Vec<MapItem> = (0..n).map(|_| rx.recv().expect("item")).collect();
-        assert!(rx.recv().is_err(), "channel must close after the batch");
+    use crate::reactor::worker_pair;
+
+    fn start(config: SchedulerConfig) -> Scheduler {
+        Scheduler::new(Mapper::new(), config, Tracer::disabled()).expect("scheduler")
+    }
+
+    fn one_worker() -> SchedulerConfig {
+        SchedulerConfig {
+            workers: 1,
+            queue_capacity: 256,
+        }
+    }
+
+    /// Receives `n` items, each tagged with `sink`'s connection, sorted
+    /// by index.
+    fn collect(completions: &Receiver<(u64, MapItem)>, sink: &ConnSink, n: usize) -> Vec<MapItem> {
+        let mut items: Vec<MapItem> = (0..n)
+            .map(|_| {
+                let (conn, item) = completions
+                    .recv_timeout(Duration::from_secs(60))
+                    .expect("item");
+                assert_eq!(conn, sink.id(), "completion routed to its connection");
+                item
+            })
+            .collect();
         items.sort_by_key(|i| i.index);
         items
     }
 
     #[test]
     fn maps_a_batch_and_streams_every_item() {
-        let mapper = Arc::new(Mapper::new());
-        let scheduler =
-            Scheduler::new(Arc::clone(&mapper), SchedulerConfig::default()).expect("scheduler");
+        let scheduler = start(SchedulerConfig::default());
+        let (worker, completions) = worker_pair().expect("worker");
+        let sink = ConnSink::new(&worker);
         let hams: Vec<MajoranaSum> = (2..6).map(MajoranaSum::uniform_singles).collect();
-        let rx = scheduler
-            .submit(&MapRequest::new("r", hams.clone()))
+        let expected = scheduler
+            .submit_map(&MapRequest::new("r", hams.clone()), &sink, None)
             .unwrap();
-        let items = collect(rx, hams.len());
+        assert_eq!(expected, hams.len());
+        let items = collect(&completions, &sink, hams.len());
         for (i, item) in items.iter().enumerate() {
             assert_eq!(item.index, Some(i));
             assert_eq!(item.id, "r");
-            let expect = mapper.map(&hams[i]).unwrap();
+            let expect = Mapper::new().map(&hams[i]).unwrap();
             assert_eq!(item.mapping().unwrap().tree(), expect.tree());
         }
     }
 
     #[test]
     fn bad_items_fail_individually_not_the_batch() {
-        let scheduler =
-            Scheduler::new(Arc::new(Mapper::new()), SchedulerConfig::default()).expect("scheduler");
+        let scheduler = start(SchedulerConfig::default());
+        let (worker, completions) = worker_pair().expect("worker");
+        let sink = ConnSink::new(&worker);
         let mut pinned = MapRequest::new(
             "r",
             vec![
@@ -708,8 +576,8 @@ mod tests {
             ],
         );
         pinned.n_modes = Some(3);
-        let rx = scheduler.submit(&pinned).unwrap();
-        let items = collect(rx, 3);
+        scheduler.submit_map(&pinned, &sink, None).unwrap();
+        let items = collect(&completions, &sink, 3);
         assert!(items[0].is_ok());
         assert_eq!(items[1].error().unwrap().code, "mode_mismatch");
         assert_eq!(items[2].error().unwrap().code, "mode_mismatch");
@@ -718,35 +586,37 @@ mod tests {
             "r2",
             vec![MajoranaSum::new(0), MajoranaSum::uniform_singles(2)],
         );
-        let rx = scheduler.submit(&unpinned).unwrap();
-        let items = collect(rx, 2);
+        scheduler.submit_map(&unpinned, &sink, None).unwrap();
+        let items = collect(&completions, &sink, 2);
         assert_eq!(items[0].error().unwrap().code, "empty_hamiltonian");
         assert!(items[1].is_ok());
     }
 
     #[test]
     fn requests_share_the_mapper_cache() {
-        let mapper = Arc::new(Mapper::new());
-        let scheduler =
-            Scheduler::new(Arc::clone(&mapper), SchedulerConfig::default()).expect("scheduler");
+        let scheduler = start(SchedulerConfig::default());
+        let (worker, completions) = worker_pair().expect("worker");
+        let sink = ConnSink::new(&worker);
         let mut h = MajoranaSum::new(2);
         h.add(Complex64::ONE, &[0, 1]);
         h.add(Complex64::ONE, &[2, 3]);
-        let rx = scheduler
-            .submit(&MapRequest::new("a", vec![h.clone()]))
-            .unwrap();
-        let _ = collect(rx, 1);
-        let rx = scheduler
-            .submit(&MapRequest::new("b", vec![h.scaled(2.0)]))
-            .unwrap();
-        let _ = collect(rx, 1);
-        assert_eq!(mapper.cache().hits(), 1, "second request replayed");
+        let a = MapRequest::new("a", vec![h.clone()]);
+        scheduler.submit_map(&a, &sink, None).unwrap();
+        let _ = collect(&completions, &sink, 1);
+        let b = MapRequest::new("b", vec![h.scaled(2.0)]);
+        scheduler.submit_map(&b, &sink, None).unwrap();
+        let _ = collect(&completions, &sink, 1);
+        assert_eq!(
+            scheduler.shared.mapper.cache().hits(),
+            1,
+            "second request replayed"
+        );
     }
 
     #[test]
     fn fair_queue_interleaves_clients_round_robin() {
         let mut q = FairQueue::default();
-        let (a, b, c) = (ClientId(0), ClientId(1), ClientId(2));
+        let (a, b, c) = (0, 1, 2);
         for i in 0..6 {
             q.push(a, format!("a{i}"));
         }
@@ -765,7 +635,7 @@ mod tests {
     #[test]
     fn fair_queue_late_client_overtakes_a_deep_backlog() {
         let mut q = FairQueue::default();
-        let (a, b) = (ClientId(7), ClientId(3));
+        let (a, b) = (7, 3);
         for i in 0..100 {
             q.push(a, (0usize, i));
         }
@@ -781,36 +651,82 @@ mod tests {
     #[test]
     fn submissions_under_one_client_share_a_turn() {
         let mut q = FairQueue::default();
-        let shared = ClientId(0);
-        q.push(shared, "r1-0");
-        q.push(shared, "r1-1");
-        q.push(shared, "r2-0");
-        q.push(ClientId(1), "other");
+        q.push(0, "r1-0");
+        q.push(0, "r1-1");
+        q.push(0, "r2-0");
+        q.push(1, "other");
         // Both of client 0's requests pool into one rotation slot.
         assert_eq!(q.drain(3), ["r1-0", "other", "r1-1"]);
     }
 
     #[test]
-    fn try_submit_sheds_load_when_full() {
+    fn a_request_that_does_not_fit_is_shed_whole() {
         // One-slot queue: a multi-item request cannot fit atomically.
-        let scheduler = Scheduler::new(
-            Arc::new(Mapper::new()),
-            SchedulerConfig {
-                workers: 1,
-                queue_capacity: 1,
-            },
-        )
-        .expect("scheduler");
+        let scheduler = start(SchedulerConfig {
+            workers: 1,
+            queue_capacity: 1,
+        });
+        let (worker, _completions) = worker_pair().expect("worker");
         let big = MapRequest::new(
             "big",
             (0..64).map(|_| MajoranaSum::uniform_singles(2)).collect(),
         );
-        match scheduler.try_submit(&big) {
+        match scheduler.submit_map(&big, &ConnSink::new(&worker), None) {
             Err(ServiceError::Overloaded) => {}
             other => panic!("expected Overloaded, got {other:?}"),
         }
-        // Blocking submit still completes (backpressure, not failure).
-        let rx = scheduler.submit(&big).unwrap();
-        assert_eq!(collect(rx, 64).len(), 64);
+        assert_eq!(scheduler.queue_len(), 0, "no item of a shed request queued");
+    }
+
+    #[test]
+    fn a_hung_up_connection_has_every_queued_item_cancelled_exactly() {
+        let scheduler = start(one_worker());
+        let (worker, completions) = worker_pair().expect("worker");
+        let gone = ConnSink::new(&worker);
+        gone.cancel();
+        let dead = MapRequest::new("gone", (4..10).map(MajoranaSum::uniform_singles).collect());
+        assert_eq!(scheduler.submit_map(&dead, &gone, None).unwrap(), 6);
+        // A live request queued behind the dead one still maps in full.
+        let live = ConnSink::new(&worker);
+        let hams: Vec<MajoranaSum> = (2..4).map(MajoranaSum::uniform_singles).collect();
+        let req = MapRequest::new("live", hams);
+        assert_eq!(scheduler.submit_map(&req, &live, None).unwrap(), 2);
+        let items = collect(&completions, &live, 2);
+        assert!(items.iter().all(MapItem::is_ok), "{items:?}");
+        // After the drain every dead item has been dispatched: each was
+        // skipped, none was answered and none constructed.
+        scheduler.drain();
+        assert!(
+            completions.try_recv().is_err(),
+            "no completion for the dead"
+        );
+        let metrics = &scheduler.shared.metrics;
+        assert_eq!(metrics.items_cancelled.load(Ordering::SeqCst), 6);
+        assert_eq!(scheduler.shared.mapper.cache().constructions(), 2);
+    }
+
+    #[test]
+    fn drain_answers_every_queued_item_then_refuses_new_work() {
+        let scheduler = start(one_worker());
+        let (worker, completions) = worker_pair().expect("worker");
+        let sink = ConnSink::new(&worker);
+        let hams: Vec<MajoranaSum> = (2..10).map(MajoranaSum::uniform_singles).collect();
+        let req = MapRequest::new("r", hams);
+        assert_eq!(scheduler.submit_map(&req, &sink, None).unwrap(), 8);
+        scheduler.drain();
+        let mut indices: Vec<Option<usize>> = completions
+            .try_iter()
+            .map(|(conn, item)| {
+                assert_eq!(conn, sink.id());
+                item.index
+            })
+            .collect();
+        indices.sort_unstable();
+        assert_eq!(indices, (0..8).map(Some).collect::<Vec<_>>());
+        let late = MapRequest::new("late", vec![MajoranaSum::uniform_singles(2)]);
+        match scheduler.submit_map(&late, &sink, None) {
+            Err(ServiceError::ShuttingDown) => {}
+            other => panic!("expected ShuttingDown, got {other:?}"),
+        }
     }
 }

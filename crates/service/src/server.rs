@@ -9,8 +9,8 @@
 //! non-blocking sockets multiplexed with `vendor/poll`. No thread ever
 //! blocks on one peer's socket — an idle connection costs zero
 //! syscalls until bytes arrive, and a slow reader only fills its own
-//! write buffer. All connections share one [`Scheduler`] (and through
-//! it one [`Mapper`] + structure cache); in router mode
+//! write buffer. All connections share one scheduler (and through it
+//! one [`Mapper`] + structure cache); in router mode
 //! ([`Server::bind_router`]) they instead share a consistent-hash
 //! shard router.
 //!
@@ -62,27 +62,27 @@
 //! server.shutdown();
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
+//!
+//! [`MapRequest`]: crate::MapRequest
+//! [`StatsRequest`]: crate::StatsRequest
+//! [`StatsReply`]: crate::StatsReply
 
 use std::io::{BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use hatt_core::Mapper;
-use hatt_trace::{TraceCtx, Tracer};
+use hatt_trace::Tracer;
 
 use crate::error::ServiceError;
-use crate::metrics::{ConnectionSlot, Metrics, BUCKET_BOUNDS_NS};
-use crate::proto::{
-    ItemError, ItemPayload, LatencyBucket, MapDeltaRequest, MapDone, MapItem, MapRequest,
-    PolicyLatency, StatsReply, StatsRequest, TierStats, TraceSummary,
-};
-use crate::reactor::{event_loop, worker_pair, Backend, ConnSink, ReactorLimits, WorkerShared};
+use crate::metrics::{ConnectionSlot, Metrics};
+use crate::proto::{ItemError, ItemPayload, MapDone, MapItem};
+use crate::reactor::{event_loop, worker_pair, Backend, ReactorLimits, WorkerShared};
 use crate::router::RouterBackend;
-use crate::scheduler::{ClientId, Scheduler, SchedulerConfig};
+use crate::scheduler::{Scheduler, SchedulerConfig};
 
 /// How long shutdown waits for in-flight responses to flush before
 /// abandoning peers that stopped taking their bytes.
@@ -191,18 +191,8 @@ impl Server {
         mapper: Mapper,
         config: ServerConfig,
     ) -> std::io::Result<Server> {
-        let mapper = Arc::new(mapper);
-        let scheduler = Scheduler::with_tracer(
-            Arc::clone(&mapper),
-            config.scheduler.clone(),
-            config.tracer(),
-        )?;
-        let backend: Arc<dyn Backend> = Arc::new(LocalBackend {
-            scheduler,
-            mapper,
-            limits: config.reactor_limits(),
-        });
-        Self::bind_with(addr, backend, &config)
+        let scheduler = Scheduler::new(mapper, config.scheduler.clone(), config.tracer())?;
+        Self::bind_with(addr, Arc::new(scheduler), &config)
     }
 
     /// Binds a **shard router**: instead of mapping locally, every
@@ -222,13 +212,12 @@ impl Server {
                 "router mode needs at least one shard address",
             ));
         }
-        let backend: Arc<dyn Backend> = Arc::new(RouterBackend::new(
+        let router = RouterBackend::new(
             shard_addrs,
             config.scheduler.queue_capacity.max(1),
-            config.reactor_limits(),
             config.tracer(),
-        )?);
-        Self::bind_with(addr, backend, &config)
+        )?;
+        Self::bind_with(addr, Arc::new(router), &config)
     }
 
     fn bind_with(
@@ -250,7 +239,7 @@ impl Server {
                 let stop = Arc::clone(&stop);
                 std::thread::Builder::new()
                     .name(format!("hattd-loop-{i}"))
-                    .spawn(move || run_worker(&shared, &completions, &backend, limits, &stop))?
+                    .spawn(move || event_loop(&shared, &completions, &backend, limits, &stop))?
             };
             workers.push(handle);
             worker_shared.push(shared);
@@ -323,18 +312,6 @@ impl Drop for Server {
     }
 }
 
-/// One event-loop worker thread body (moved-ownership shim over
-/// [`event_loop`]).
-fn run_worker(
-    shared: &WorkerShared,
-    completions: &Receiver<(u64, MapItem)>,
-    backend: &Arc<dyn Backend>,
-    limits: ReactorLimits,
-    stop: &AtomicBool,
-) {
-    event_loop(shared, completions, backend, limits, stop);
-}
-
 fn accept_loop(
     listener: &TcpListener,
     stop: &AtomicBool,
@@ -397,113 +374,4 @@ fn reject_overloaded(stream: TcpStream) {
     let _ = writer.write_all(done.to_line().as_bytes());
     let _ = writer.write_all(b"\n");
     let _ = writer.flush();
-}
-
-/// The single-daemon backend: the scheduler+mapper pair every
-/// connection of a [`Server::bind`] server shares.
-struct LocalBackend {
-    scheduler: Scheduler,
-    mapper: Arc<Mapper>,
-    limits: ReactorLimits,
-}
-
-impl Backend for LocalBackend {
-    fn register_client(&self) -> ClientId {
-        self.scheduler.register_client()
-    }
-
-    fn metrics(&self) -> &Arc<Metrics> {
-        self.scheduler.metrics()
-    }
-
-    fn tracer(&self) -> &Tracer {
-        self.scheduler.tracer()
-    }
-
-    fn submit_map(
-        &self,
-        client: ClientId,
-        req: &MapRequest,
-        sink: &ConnSink,
-        trace: Option<TraceCtx>,
-    ) -> Result<usize, ServiceError> {
-        self.scheduler.submit_conn(client, req, sink, trace)
-    }
-
-    fn submit_delta(
-        &self,
-        client: ClientId,
-        req: &MapDeltaRequest,
-        sink: &ConnSink,
-        trace: Option<TraceCtx>,
-    ) -> Result<usize, ServiceError> {
-        self.scheduler.submit_delta_conn(client, req, sink, trace)
-    }
-
-    fn stats(&self, req: &StatsRequest) -> StatsReply {
-        stats_reply(&self.scheduler, req, &self.limits)
-    }
-
-    fn drain(&self) {
-        self.scheduler.drain();
-        // Everything that will ever be written through this server has
-        // been; make the store tier durable.
-        let _ = self.mapper.sync_store();
-    }
-}
-
-/// Builds the `stats` reply from the scheduler, mapper and counters.
-fn stats_reply(scheduler: &Scheduler, req: &StatsRequest, limits: &ReactorLimits) -> StatsReply {
-    let metrics = scheduler.metrics();
-    let cache = scheduler.mapper().cache();
-    let policies = metrics
-        .latency_snapshot()
-        .into_iter()
-        .map(|(policy, h)| {
-            let buckets = h
-                .counts
-                .iter()
-                .enumerate()
-                .map(|(i, &count)| LatencyBucket {
-                    le_ns: BUCKET_BOUNDS_NS.get(i).copied(),
-                    count,
-                })
-                .collect();
-            PolicyLatency {
-                policy,
-                count: h.count,
-                total_ns: h.total_ns,
-                buckets,
-            }
-        })
-        .collect();
-    let tracer = scheduler.tracer();
-    StatsReply {
-        id: req.id.clone(),
-        uptime_ms: metrics.uptime_ms(),
-        verbs: metrics.verb_counters(),
-        trace: tracer.is_enabled().then(|| TraceSummary {
-            capacity: tracer.capacity(),
-            recorded: tracer.spans_recorded(),
-            dropped: tracer.spans_dropped(),
-        }),
-        queue_depth: scheduler.queue_len(),
-        connections: metrics.connections_active.load(Ordering::SeqCst),
-        connection_limit: limits.max_connections,
-        connections_rejected: metrics.connections_rejected.load(Ordering::Relaxed),
-        oversize_lines: metrics.oversize_lines.load(Ordering::Relaxed),
-        requests: metrics.requests.load(Ordering::Relaxed),
-        constructions: cache.constructions(),
-        remaps: cache.remaps(),
-        cancelled_items: metrics.items_cancelled.load(Ordering::Relaxed),
-        event_loop_wakeups: metrics.wakeups.load(Ordering::Relaxed),
-        cache: TierStats {
-            hits: cache.hits(),
-            misses: cache.misses(),
-            entries: cache.len(),
-        },
-        store: scheduler.mapper().store_stats(),
-        policies,
-        shards: Vec::new(),
-    }
 }

@@ -23,6 +23,7 @@ use hatt::mappings::{validate, FermionMapping, SelectionPolicy};
 use hatt::pauli::Complex64;
 use hatt::service::{
     client, MapDeltaRequest, MapRequest, ResponseLine, SchedulerConfig, Server, ServerConfig,
+    TierStats,
 };
 
 fn preprocess(h: &hatt::fermion::FermionOperator) -> MajoranaSum {
@@ -481,6 +482,14 @@ fn map_delta_over_tcp_matches_a_fresh_build_and_counts_a_remap() {
 
 #[test]
 fn a_small_client_is_not_starved_behind_a_chatty_one() {
+    // With two event loops the two clients land on different loops, so
+    // their fairness buckets must stay distinct across loops too.
+    for event_workers in [1, 2] {
+        small_client_overtakes_chatty_batch(event_workers);
+    }
+}
+
+fn small_client_overtakes_chatty_batch(event_workers: usize) {
     // One worker makes dispatch fully sequential: each round-robin round
     // takes at most two jobs, so client B's lone job must ride an early
     // round instead of waiting out client A's entire backlog.
@@ -489,6 +498,7 @@ fn a_small_client_is_not_starved_behind_a_chatty_one() {
             workers: 1,
             queue_capacity: 256,
         },
+        event_workers,
         ..ServerConfig::default()
     };
     let server = Server::bind("127.0.0.1:0", Mapper::new(), config).expect("bind ephemeral port");
@@ -523,9 +533,10 @@ fn a_small_client_is_not_starved_behind_a_chatty_one() {
         .expect("chatty client round trip");
     assert_eq!(a_reply.done.items, a_total);
     assert!(
-        a_done_when_b_finished < a_total,
+        a_done_when_b_finished < a_total / 2,
         "round-robin drain should answer the small client while the \
-         chatty batch is still streaming (saw {a_done_when_b_finished}/{a_total})"
+         chatty batch is still streaming (saw {a_done_when_b_finished}/{a_total} \
+         with {event_workers} event loop(s))"
     );
     server.shutdown();
 }
@@ -646,6 +657,33 @@ fn router_sharded_roster_is_bit_identical_to_a_single_mapper() {
     assert!(stats.shards.iter().all(|s| s.healthy), "{:?}", stats.shards);
     let forwarded: u64 = stats.shards.iter().map(|s| s.forwarded).sum();
     assert_eq!(forwarded, hams.len() as u64 + 1);
+
+    // The router's own traffic: one map, one map_delta and this probe.
+    let v = stats.verbs;
+    assert_eq!((v.map, v.map_delta, v.stats, v.trace_dump), (1, 1, 1, 0));
+    assert_eq!(stats.requests, 2);
+    assert_eq!(stats.queue_depth, 0, "every shard queue drained");
+    assert_eq!(
+        stats.connection_limit,
+        ServerConfig::default().max_connections
+    );
+    assert!(stats.connections >= 1, "the probe's own connection");
+    assert_eq!(
+        (
+            stats.connections_rejected,
+            stats.oversize_lines,
+            stats.cancelled_items
+        ),
+        (0, 0, 0)
+    );
+    assert!(stats.uptime_ms > 0);
+    assert!(stats.event_loop_wakeups > 0);
+    assert!(stats.trace.is_none(), "tracing is off");
+    // Constructions, caches and latency histograms live on the shards.
+    assert_eq!((stats.constructions, stats.remaps), (0, 0));
+    assert_eq!(stats.cache, TierStats::default());
+    assert!(stats.store.is_none());
+    assert!(stats.policies.is_empty());
 
     router.shutdown();
     shard_a.shutdown();
