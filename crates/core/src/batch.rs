@@ -111,30 +111,51 @@ use crate::store::{StoreTier, StoreTierStats};
 /// term's support, in the deterministic (sorted) order [`MajoranaSum`]
 /// stores them. Coefficients are deliberately excluded — see the
 /// [module docs](self).
+///
+/// The supports are stored flat, each prefixed by its length, in one
+/// allocation: 4 bytes per term plus 4 per index. A cache entry keeps
+/// its structure as the collision guard, so this is most of an entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Structure {
     pub(crate) n_modes: usize,
-    pub(crate) terms: Vec<Vec<u32>>,
+    n_terms: usize,
+    supports: Vec<u32>,
 }
 
 impl Structure {
     pub(crate) fn of(h: &MajoranaSum) -> Self {
+        let mut supports = Vec::new();
+        for (support, _) in h.iter() {
+            // A support holds distinct Majorana indices below
+            // `2·n_modes`, so its length fits the `u32` prefix.
+            supports.push(support.len() as u32);
+            supports.extend_from_slice(support);
+        }
         Structure {
             n_modes: h.n_modes(),
-            terms: h.iter().map(|(support, _)| support.to_vec()).collect(),
+            n_terms: h.n_terms(),
+            supports,
         }
+    }
+
+    /// Every term's support, in order.
+    pub(crate) fn terms(&self) -> impl Iterator<Item = &[u32]> {
+        let mut rest = self.supports.as_slice();
+        std::iter::from_fn(move || {
+            let (&len, tail) = rest.split_first()?;
+            let term = tail.get(..len as usize)?;
+            rest = tail.get(len as usize..)?;
+            Some(term)
+        })
     }
 
     /// FNV-1a over the structure as little-endian `u64` words, with
     /// per-term length prefixes so term boundaries cannot alias
     /// (`{0,1},{2}` vs `{0},{1,2}`).
     pub(crate) fn hash(&self) -> u64 {
-        let terms = self.terms.iter().flat_map(|term| {
-            std::iter::once(term.len() as u64).chain(term.iter().map(|&idx| u64::from(idx)))
-        });
-        let words = [self.n_modes as u64, self.terms.len() as u64]
+        let words = [self.n_modes as u64, self.n_terms as u64]
             .into_iter()
-            .chain(terms);
+            .chain(self.supports.iter().map(|&word| u64::from(word)));
         fnv1a64(words.flat_map(u64::to_le_bytes))
     }
 }
@@ -405,9 +426,11 @@ impl Drop for FailOnUnwind<'_> {
 /// [`Mapper`](crate::Mapper) owns one; share the mapper across batches
 /// to carry warm entries between calls.
 ///
-/// [`MappingCache::new`] is unbounded (each entry is just a merge
-/// sequence, `24·N` bytes); [`MappingCache::with_capacity`] bounds the
-/// entry count with LRU eviction — the service configuration.
+/// [`MappingCache::new`] is unbounded; [`MappingCache::with_capacity`]
+/// bounds the entry count with LRU eviction — the service
+/// configuration. An entry holds the merge sequence, `24·N` bytes, and
+/// the structure it guards against collisions, 4 bytes per term plus 4
+/// per Majorana index.
 ///
 /// A cache may additionally carry a **persistent second tier** (see
 /// [`MapperBuilder::store_path`](crate::MapperBuilder::store_path)): an
@@ -808,6 +831,15 @@ mod tests {
         wide.add(Complex64::ONE, &[0, 1]);
         let narrow = ham(&[&[0, 1]]);
         assert_ne!(structure_key(&wide), structure_key(&narrow));
+    }
+
+    #[test]
+    fn structure_terms_are_the_supports_in_order() {
+        let h = ham(&[&[0, 1], &[0, 1, 2, 3], &[2, 5], &[1, 3, 4, 6], &[6, 7]]);
+        let structure = Structure::of(&h);
+        let supports: Vec<&[u32]> = h.iter().map(|(support, _)| support).collect();
+        assert_eq!(supports.len(), 5);
+        assert!(structure.terms().eq(supports));
     }
 
     #[test]

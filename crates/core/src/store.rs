@@ -170,8 +170,7 @@ impl StoreTier {
 /// JSON integer type here is `i64`-bounded; hashes are full `u64`s).
 fn encode_record(structure: &Structure, mapping: &HattMapping, lineage: Option<u64>) -> Json {
     let terms = structure
-        .terms
-        .iter()
+        .terms()
         .map(|t| Json::Arr(t.iter().map(|&i| Json::int(u64::from(i))).collect()))
         .collect();
     let mut payload = vec![
@@ -220,7 +219,7 @@ fn decode_record(
         }
         terms.push(support);
     }
-    if n_modes != expect.n_modes || terms != expect.terms {
+    if n_modes != expect.n_modes || !expect.terms().eq(terms.iter().map(Vec::as_slice)) {
         // A different structure landed on this address (hash collision
         // or a damaged record that still checksums): never alias.
         return Err(WireError::schema(SCTX, "stored structure differs"));
@@ -301,6 +300,20 @@ mod tests {
         assert!(decode_record(doc.as_bytes(), &structure, &naive).is_err());
         // Garbage bytes.
         assert!(decode_record(b"not json", &structure, &options).is_err());
+    }
+
+    #[test]
+    fn a_record_does_not_decode_for_the_same_indices_split_differently() {
+        let mut pairs = MajoranaSum::new(2);
+        pairs.add(hatt_pauli::Complex64::ONE, &[0, 1]);
+        pairs.add(hatt_pauli::Complex64::ONE, &[2, 3]);
+        let mut quartic = MajoranaSum::new(2);
+        quartic.add(hatt_pauli::Complex64::ONE, &[0, 1, 2, 3]);
+        let options = HattOptions::default();
+        let mapping = hatt_with_impl(&pairs, &options).unwrap();
+        let doc = encode_record(&Structure::of(&pairs), &mapping, None).render();
+        assert!(decode_record(doc.as_bytes(), &Structure::of(&pairs), &options).is_ok());
+        assert!(decode_record(doc.as_bytes(), &Structure::of(&quartic), &options).is_err());
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! so the output always parses. The parser is a recursion-depth-limited
 //! recursive descent over the full value grammar (including `\uXXXX`
 //! escapes and surrogate pairs), so untrusted wire input can neither
-//! panic nor blow the stack.
+//! panic nor blow the stack. Strings are copied run by run, so parsing
+//! is linear in the input length.
 //!
 //! # Examples
 //!
@@ -308,13 +309,19 @@ impl Parser<'_> {
                     return Err(self.err("unescaped control character in string"));
                 }
                 Some(_) => {
-                    // Copy one UTF-8 scalar. The input is a &str, so the
-                    // byte stream is valid UTF-8 by construction.
+                    // Copy the run up to the next quote, backslash or
+                    // control byte at once. The input is a &str and the
+                    // run ends on an ASCII byte or at the end, so it is
+                    // valid UTF-8, and each byte is looked at once.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("empty char"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let len = rest
+                        .iter()
+                        .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+                        .unwrap_or(rest.len());
+                    let run =
+                        std::str::from_utf8(&rest[..len]).map_err(|_| self.err("invalid UTF-8"))?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -412,6 +419,7 @@ fn write_escaped(out: &mut String, s: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn scalars_render() {
@@ -477,6 +485,48 @@ mod tests {
         assert!(Json::parse(r#""\ud834""#).is_err(), "lone high surrogate");
         // Raw multi-byte UTF-8 passes through.
         assert_eq!(Json::parse("\"λ=1\"").unwrap(), Json::str("λ=1"));
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // Validating the rest of the input once per string character
+        // made this quadratic: ~1.4 s for 256 KiB and ~25 s for 1 MiB
+        // in a debug build on a 2-vCPU host. A linear scan takes a few ms.
+        let len = 256 * 1024;
+        let text = format!(r#"{{"s": "{}"}}"#, "a".repeat(len));
+        let start = Instant::now();
+        let v = Json::parse(&text).unwrap();
+        let elapsed = start.elapsed();
+        assert_eq!(v, Json::Obj(vec![("s".into(), Json::str("a".repeat(len)))]));
+        assert!(elapsed < Duration::from_millis(250), "{elapsed:?}");
+    }
+
+    #[test]
+    fn long_runs_multibyte_chars_and_every_escape_round_trip() {
+        let run = "x".repeat(5000);
+        // Rendered and parsed back: runs broken by multi-byte chars,
+        // short escapes and \u00XX control escapes.
+        let s = format!("{run}λ{run}𝄞\"\\/\u{8}\u{c}\n\r\t\u{1}{run}é");
+        assert_eq!(Json::parse(&Json::str(&s).render()).unwrap(), Json::str(&s));
+        // Hand-written: every escape of the grammar and a surrogate pair.
+        let text = format!(r#""{run}\"\\\/\b\f\n\r\t\u00e9\uD834\uDD1Eλ{run}𝄞""#);
+        let want = format!("{run}\"\\/\u{8}\u{c}\n\r\t\u{e9}𝄞λ{run}𝄞");
+        assert_eq!(Json::parse(&text).unwrap(), Json::str(want));
+    }
+
+    #[test]
+    fn a_control_byte_inside_a_long_run_is_rejected_at_its_offset() {
+        let run = "a".repeat(4096);
+        // The offset counts bytes: 'λ' is two.
+        let text = format!("\"λ{run}\u{1}{run}\"");
+        let err = Json::parse(&text).unwrap_err();
+        assert_eq!(err.offset, 1 + 2 + run.len(), "{err}");
+        assert!(err.message.contains("control character"), "{err}");
+        // An unterminated run fails at the end of the input.
+        let text = format!("\"{run}");
+        let err = Json::parse(&text).unwrap_err();
+        assert_eq!(err.offset, text.len(), "{err}");
+        assert!(err.message.contains("unterminated"), "{err}");
     }
 
     #[test]

@@ -2,13 +2,15 @@
 //! stream the per-item response lines, return everything once the
 //! `map_done` marker arrives.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, Lines};
 use std::net::{TcpStream, ToSocketAddrs};
+
+use hatt_pauli::wire::WireError;
 
 use crate::error::ServiceError;
 use crate::proto::{
-    MapDeltaRequest, MapDone, MapItem, MapRequest, ResponseLine, StatsReply, StatsRequest,
-    TraceDumpReply, TraceDumpRequest,
+    write_line, MapDeltaRequest, MapDone, MapItem, MapRequest, ResponseLine, StatsReply,
+    StatsRequest, TraceDumpReply, TraceDumpRequest,
 };
 
 /// A complete response to one request.
@@ -48,7 +50,7 @@ pub fn request_streaming(
     req: &MapRequest,
     on_item: impl FnMut(&MapItem),
 ) -> Result<MapReply, ServiceError> {
-    exchange(addr, &req.to_line(), &req.id, on_item)
+    exchange(addr, req.to_line(), &req.id, on_item)
 }
 
 /// Sends a [`MapDeltaRequest`] — incremental remapping of a base
@@ -80,7 +82,7 @@ pub fn request_streaming(
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn remap(addr: impl ToSocketAddrs, req: &MapDeltaRequest) -> Result<MapReply, ServiceError> {
-    exchange(addr, &req.to_line(), &req.id, |_| {})
+    exchange(addr, req.to_line(), &req.id, |_| {})
 }
 
 /// Writes one request line and collects the streamed `map_item` lines
@@ -88,19 +90,12 @@ pub fn remap(addr: impl ToSocketAddrs, req: &MapDeltaRequest) -> Result<MapReply
 /// [`request_streaming`] and [`remap`].
 fn exchange(
     addr: impl ToSocketAddrs,
-    request_line: &str,
+    request_line: String,
     id: &str,
     mut on_item: impl FnMut(&MapItem),
 ) -> Result<MapReply, ServiceError> {
-    let stream = TcpStream::connect(addr)?;
-    let reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    writer.write_all(request_line.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()?;
-
     let mut items = Vec::new();
-    for line in reader.lines() {
+    for line in send(addr, request_line)? {
         let line = line?;
         if line.trim().is_empty() {
             continue;
@@ -141,29 +136,14 @@ fn exchange(
 /// See [`crate::Server`] — the doctest there probes a live daemon.
 pub fn stats(addr: impl ToSocketAddrs, id: impl Into<String>) -> Result<StatsReply, ServiceError> {
     let req = StatsRequest::new(id);
-    let stream = TcpStream::connect(addr)?;
-    let reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    writer.write_all(req.to_line().as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()?;
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let reply = StatsReply::from_line(&line)?;
-        if reply.id != req.id {
-            return Err(ServiceError::Protocol(format!(
-                "stats for probe {:?} while waiting on {:?}",
-                reply.id, req.id
-            )));
-        }
-        return Ok(reply);
+    let reply = probe(addr, req.to_line(), "stats", StatsReply::from_line)?;
+    if reply.id != req.id {
+        return Err(ServiceError::Protocol(format!(
+            "stats for probe {:?} while waiting on {:?}",
+            reply.id, req.id
+        )));
     }
-    Err(ServiceError::Protocol(
-        "connection closed before the stats line".into(),
-    ))
+    Ok(reply)
 }
 
 /// Asks a `--trace` daemon for its recent span trees (the `trace_dump`
@@ -193,27 +173,43 @@ pub fn trace_dump(
     id: impl Into<String>,
 ) -> Result<TraceDumpReply, ServiceError> {
     let req = TraceDumpRequest::new(id);
-    let stream = TcpStream::connect(addr)?;
-    let reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    writer.write_all(req.to_line().as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()?;
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let reply = TraceDumpReply::from_line(&line)?;
-        if reply.id != req.id {
-            return Err(ServiceError::Protocol(format!(
-                "trace dump for probe {:?} while waiting on {:?}",
-                reply.id, req.id
-            )));
-        }
-        return Ok(reply);
+    let reply = probe(addr, req.to_line(), "trace_dump", TraceDumpReply::from_line)?;
+    if reply.id != req.id {
+        return Err(ServiceError::Protocol(format!(
+            "trace dump for probe {:?} while waiting on {:?}",
+            reply.id, req.id
+        )));
     }
-    Err(ServiceError::Protocol(
-        "connection closed before the trace_dump line".into(),
-    ))
+    Ok(reply)
+}
+
+/// Sends a one-line probe and decodes the first non-blank reply line.
+fn probe<R>(
+    addr: impl ToSocketAddrs,
+    request_line: String,
+    what: &str,
+    decode: impl FnOnce(&str) -> Result<R, WireError>,
+) -> Result<R, ServiceError> {
+    for line in send(addr, request_line)? {
+        let line = line?;
+        if !line.trim().is_empty() {
+            return Ok(decode(&line)?);
+        }
+    }
+    Err(ServiceError::Protocol(format!(
+        "connection closed before the {what} line"
+    )))
+}
+
+/// Opens a no-delay connection, writes `request_line` in one write and
+/// returns the reply lines.
+fn send(
+    addr: impl ToSocketAddrs,
+    request_line: String,
+) -> Result<Lines<BufReader<TcpStream>>, ServiceError> {
+    let mut stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    let reader = BufReader::new(stream.try_clone()?);
+    write_line(&mut stream, request_line)?;
+    Ok(reader.lines())
 }

@@ -37,6 +37,8 @@
 //! `map_item` with `index: null` and code `invalid_request`, then
 //! `map_done` — the connection stays usable.
 
+use std::io::Write;
+
 use hatt_core::wire::{decode_hatt_mapping_payload, hatt_mapping_payload};
 use hatt_core::StoreTierStats;
 use hatt_core::{HattError, HattMapping, HattOptions, Variant};
@@ -1255,6 +1257,15 @@ impl ResponseLine {
             }),
         }
     }
+}
+
+/// Sends `line` and its terminating `\n` in one `write_all`. Sent as
+/// two writes, the newline of a long line can sit behind Nagle's
+/// algorithm until the peer's delayed ACK (~40 ms), while the peer waits
+/// for that newline before it answers.
+pub(crate) fn write_line(w: &mut impl Write, mut line: String) -> std::io::Result<()> {
+    line.push('\n');
+    w.write_all(line.as_bytes())
 }
 
 #[cfg(test)]

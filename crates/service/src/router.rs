@@ -31,7 +31,7 @@
 //! worker on a shard.
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -45,8 +45,8 @@ use hatt_trace::{now_ns, TraceCtx, Tracer};
 use crate::error::ServiceError;
 use crate::metrics::Metrics;
 use crate::proto::{
-    ItemError, ItemPayload, MapDeltaRequest, MapItem, MapRequest, ResponseLine, ShardStats,
-    StatsReply,
+    write_line, ItemError, ItemPayload, MapDeltaRequest, MapItem, MapRequest, ResponseLine,
+    ShardStats, StatsReply,
 };
 use crate::reactor::{Backend, ConnSink};
 
@@ -417,14 +417,16 @@ impl Backend for RouterBackend {
     }
 }
 
-/// One shard's persistent connection (line-buffered both ways).
+/// One shard's persistent connection: buffered reads, and one write
+/// per request line.
 struct ShardConn {
     reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    writer: TcpStream,
 }
 
 fn connect(addr: &str) -> std::io::Result<ShardConn> {
     let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
     // A wedged shard must not pin the forwarder (and the router's
     // drain) forever; a timeout surfaces as a transport error and the
     // job is answered with typed items.
@@ -432,7 +434,7 @@ fn connect(addr: &str) -> std::io::Result<ShardConn> {
     stream.set_write_timeout(Some(Duration::from_secs(30)))?;
     Ok(ShardConn {
         reader: BufReader::new(stream.try_clone()?),
-        writer: BufWriter::new(stream),
+        writer: stream,
     })
 }
 
@@ -536,9 +538,7 @@ fn forward_once(
     answered: &mut [bool],
     counters: &ShardCounters,
 ) -> Result<(), ServiceError> {
-    io.writer.write_all(job.to_line().as_bytes())?;
-    io.writer.write_all(b"\n")?;
-    io.writer.flush()?;
+    write_line(&mut io.writer, job.to_line())?;
     let mut request_error: Option<ItemError> = None;
     let mut line = String::new();
     loop {

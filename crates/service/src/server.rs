@@ -67,7 +67,6 @@
 //! [`StatsRequest`]: crate::StatsRequest
 //! [`StatsReply`]: crate::StatsReply
 
-use std::io::{BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -79,7 +78,7 @@ use hatt_trace::Tracer;
 
 use crate::error::ServiceError;
 use crate::metrics::{ConnectionSlot, Metrics};
-use crate::proto::{ItemError, ItemPayload, MapDone, MapItem};
+use crate::proto::{write_line, ItemError, ItemPayload, MapDone, MapItem};
 use crate::reactor::{event_loop, worker_pair, Backend, ReactorLimits, WorkerShared};
 use crate::router::RouterBackend;
 use crate::scheduler::{Scheduler, SchedulerConfig};
@@ -352,7 +351,7 @@ fn accept_loop(
 /// plus `map_done`, then closes it. Runs on the accept thread (the
 /// rejected stream never reaches an event loop); the write timeout
 /// keeps a non-reading peer from stalling accepts.
-fn reject_overloaded(stream: TcpStream) {
+fn reject_overloaded(mut stream: TcpStream) {
     let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
     let e = ServiceError::Overloaded;
     let item = MapItem {
@@ -368,10 +367,6 @@ fn reject_overloaded(stream: TcpStream) {
         items: 1,
         errors: 1,
     };
-    let mut writer = BufWriter::new(stream);
-    let _ = writer.write_all(item.to_line().as_bytes());
-    let _ = writer.write_all(b"\n");
-    let _ = writer.write_all(done.to_line().as_bytes());
-    let _ = writer.write_all(b"\n");
-    let _ = writer.flush();
+    let lines = format!("{}\n{}", item.to_line(), done.to_line());
+    let _ = write_line(&mut stream, lines);
 }

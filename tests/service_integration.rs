@@ -690,6 +690,86 @@ fn router_sharded_roster_is_bit_identical_to_a_single_mapper() {
     shard_b.shutdown();
 }
 
+/// A 14-mode Hamiltonian of the first `terms` 2-Majorana supports in
+/// lexicographic order, with small integer coefficients.
+fn pair_terms(terms: usize) -> MajoranaSum {
+    let mut h = MajoranaSum::new(14);
+    let pairs = (0..28u32).flat_map(|a| (a + 1..28).map(move |b| [a, b]));
+    for (i, pair) in pairs.take(terms).enumerate() {
+        h.add(Complex64::real((i % 7 + 1) as f64), &pair);
+    }
+    h
+}
+
+fn median(mut samples: Vec<Duration>) -> Duration {
+    samples.sort();
+    samples[samples.len() / 2]
+}
+
+#[test]
+fn a_line_over_the_write_buffer_is_forwarded_without_a_stall() {
+    // A request line over 8 KiB must reach the shard as promptly as one
+    // under it. Written in two pieces (the line, then its newline) on a
+    // socket with Nagle's algorithm on, the newline waits for the
+    // shard's delayed ACK, ~40 ms, on every forward of a long line.
+    let shard_a = boot(Mapper::new());
+    let shard_b = boot(Mapper::new());
+    let shard_addrs = vec![
+        shard_a.local_addr().to_string(),
+        shard_b.local_addr().to_string(),
+    ];
+    let router = Server::bind_router("127.0.0.1:0", &shard_addrs, ServerConfig::default())
+        .expect("bind router");
+
+    let over = MapRequest::new("over", vec![pair_terms(312)]).to_line() + "\n";
+    let under = MapRequest::new("under", vec![pair_terms(245)]).to_line() + "\n";
+    assert!(over.len() > 9_000, "{} bytes", over.len());
+    assert!(under.len() < 7_500, "{} bytes", under.len());
+
+    // One persistent no-delay connection, one write per line, as a
+    // latency-sensitive client sends them.
+    let stream = TcpStream::connect(router.local_addr()).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    let mut round_trip = |line: &str| -> Duration {
+        let start = Instant::now();
+        writer.write_all(line.as_bytes()).expect("send");
+        let mut reply = String::new();
+        loop {
+            reply.clear();
+            assert!(reader.read_line(&mut reply).expect("reply") > 0, "EOF");
+            match ResponseLine::from_line(reply.trim_end()).expect("reply line") {
+                ResponseLine::Item(item) => assert!(item.is_ok(), "{:?}", item.error()),
+                ResponseLine::Done(_) => return start.elapsed(),
+            }
+        }
+    };
+
+    // Warm both structures, so every timed round trip is a replay.
+    round_trip(&over);
+    round_trip(&under);
+    let (mut over_times, mut under_times) = (Vec::new(), Vec::new());
+    for _ in 0..9 {
+        over_times.push(round_trip(&over));
+        under_times.push(round_trip(&under));
+    }
+    let (over_median, under_median) = (median(over_times), median(under_times));
+    assert!(
+        over_median < under_median + Duration::from_millis(20),
+        "a {}-byte line took {over_median:?}, a {}-byte line {under_median:?}",
+        over.len(),
+        under.len()
+    );
+
+    router.shutdown();
+    shard_a.shutdown();
+    shard_b.shutdown();
+}
+
 #[test]
 fn a_slow_reader_does_not_stall_other_connections() {
     // A slowloris-style client requests a large response and refuses to
