@@ -15,7 +15,10 @@
 //!   state; traversals make it `O(N⁴)` worst case.
 //! * [`Variant::Cached`] — Algorithm 3 (the default): Algorithm 2 with
 //!   the `mdown : O → descZ(O)` and `mup : descZ(O) → O` maps replacing
-//!   both traversals with O(1) lookups, for `O(N³)` total.
+//!   both traversals with O(1) lookups, for `O(N³)` total. Its greedy
+//!   pass also keeps a per-construction score table, so each candidate
+//!   is scored once per construction rather than once per step (see
+//!   [`ScoreTable`]).
 //!
 //! Orthogonally to the variant, a [`SelectionPolicy`] decides *which* of
 //! the candidate triples wins each step:
@@ -50,11 +53,12 @@
 //!
 //! ## Incremental remaps
 //!
-//! A remap ([`Mapper::remap`](crate::Mapper::remap)) runs the same
-//! greedy loop with a *frontier*: the previous mapping's merge sequence
-//! and the subtrees the delta touched. While the tree still follows the
-//! old sequence, each step scores only the candidates the delta can
-//! have changed; see `hatt_single` for why the result is unchanged.
+//! A remap ([`Mapper::remap`](crate::Mapper::remap)) runs the same pass
+//! as a cold build. The score table already limits each step to the
+//! candidates the previous merge changed, so a remap has no cheaper
+//! subset left to score; what it keeps is its bookkeeping (the
+//! [`remaps`](crate::MappingCache::remaps) counter, the `remap` span and
+//! the store record's lineage).
 //!
 //! # Examples
 //!
@@ -83,7 +87,7 @@ use std::time::Instant;
 use hatt_fermion::MajoranaSum;
 use hatt_mappings::{
     select_free_triple, Blend, FermionMapping, NodeId, PortfolioMember, SelectionPolicy,
-    TermEngine, TernaryTree, TernaryTreeBuilder, TreeMapping, TripleScore,
+    TermEngine, TernaryTree, TernaryTreeBuilder, TreeMapping, TripleCounts, TripleScore,
 };
 use hatt_pauli::PauliString;
 
@@ -107,6 +111,10 @@ pub enum Variant {
     /// Algorithm 2: operator pairing with literal tree traversals.
     Paired,
     /// Algorithm 3: operator pairing with O(1) cached maps (default).
+    /// Under [`SelectionPolicy::Greedy`] and [`SelectionPolicy::Vanilla`]
+    /// (and the restarts portfolio's greedy members) each candidate is
+    /// also scored once per construction through a score table; the
+    /// tree is the one [`Variant::Paired`] builds.
     #[default]
     Cached,
 }
@@ -284,46 +292,26 @@ pub(crate) fn hatt_with_impl(
     match options.policy {
         SelectionPolicy::Beam { width } => hatt_beam(h, options, width.max(1), Blend::UNIT),
         SelectionPolicy::Restarts => hatt_restarts(h, options),
-        _ => hatt_single(h, options, options.policy.blend(), None),
+        _ => hatt_single(h, options, options.policy.blend()),
     }
 }
 
 /// One policy-driven greedy/lookahead construction pass under `blend`:
 /// Algorithm 1 for [`Variant::Unopt`], Algorithms 2/3 otherwise, one
-/// qubit settled per step.
-///
-/// With a `frontier` the pass is an incremental remap: `h` is the
-/// post-delta Hamiltonian, and the frontier holds the previous
-/// mapping's merge sequence and the subtrees the delta touched. The
-/// output is **bit-identical** to the same pass without the frontier
-/// (tree, merge sequence and per-step settled weights;
-/// `tests/remap_differential.rs` pins the equivalence), but fewer
-/// candidates are scored.
-///
-/// Why this is sound: a candidate triple whose three subtrees contain
-/// no touched leaf interacts with no added or removed term, so its
-/// [`TripleScore`] (per-triple counts only) is the same in the old and
-/// new engines. While the tree still matches the old prefix and the
-/// previous winner is itself untouched, the old winner therefore still
-/// dominates every untouched candidate, and the true new winner can
-/// only be the old winner or a *touched* candidate. Scoring just that
-/// subset, in enumeration order under the same strict-`<` first-wins
-/// rule, reproduces the full scan's choice exactly. A step whose
-/// previous winner is touched scans in full; it may re-elect that
-/// winner, and then later steps filter again. Once a step chooses
-/// differently from the old sequence, every remaining step scans in
-/// full.
+/// qubit settled per step. A [`Variant::Cached`] greedy pass selects
+/// through a [`ScoreTable`]; every other pass scans all candidates each
+/// step.
 fn hatt_single(
     h: &MajoranaSum,
     options: &HattOptions,
     blend: Blend,
-    mut frontier: Option<Frontier>,
 ) -> Result<HattMapping, HattError> {
     let n = h.n_modes();
     let start = Instant::now();
     let mut engine = TermEngine::new(h);
     let mut builder = TernaryTreeBuilder::new(n);
     let mut state = PairingState::new(n);
+    let mut table = ScoreTable::for_pass(n, options);
     let mut iterations = Vec::with_capacity(n);
 
     for qubit in 0..n {
@@ -333,7 +321,6 @@ fn hatt_single(
         };
         let u = builder.roots();
         let next_parent: NodeId = 2 * n + 1 + qubit;
-        let filter = frontier.as_ref().and_then(|f| f.filter(qubit));
         // `construct.step` times one qubit's candidate selection — the
         // per-step profiling hook behind the fig12 kernel analysis. A
         // free no-op outside a tracing scope.
@@ -357,6 +344,9 @@ fn hatt_single(
                 Variant::Paired => Some(&builder),
                 Variant::Cached => None,
             };
+            if let Some(table) = &mut table {
+                return table.select(&mut engine, &u, options, blend, &mut iter_stats, &state);
+            }
             select_paired(
                 &mut engine,
                 walk,
@@ -367,7 +357,6 @@ fn hatt_single(
                 next_parent,
                 &mut iter_stats,
                 &mut state,
-                filter,
             )
         })?;
         let [ox, oy, oz] = selection.children;
@@ -376,8 +365,10 @@ fn hatt_single(
         debug_assert_eq!(parent, next_parent);
         engine.reduce(parent, ox, oy, oz);
         state.record_attach(parent, oz);
-        if let Some(f) = &mut frontier {
-            f.record_attach(qubit, parent, selection.children);
+        if let Some(table) = &mut table {
+            // `parent` inherits `descZ(O_Z)`, so the root that paired
+            // with `O_Z` now pairs with `parent`.
+            table.clear_pair(state.mdown[parent]);
         }
         iterations.push(iter_stats);
     }
@@ -409,93 +400,163 @@ fn assemble(
     }
 }
 
-/// What a remap threads through [`hatt_single`]: the previous
-/// mapping's merge sequence and the subtrees the delta touched.
-struct Frontier<'a> {
-    /// The previous mapping's merge sequence, one triple per step.
-    prev_seq: &'a [[NodeId; 3]],
-    /// `touched[v]`: v's subtree contains a Majorana index the delta
-    /// added or removed a term on. Seeded at the leaves, propagated to
-    /// each attached parent.
-    touched: Vec<bool>,
-    /// Whether some step chose differently from `prev_seq`.
-    diverged: bool,
-}
-
-impl<'a> Frontier<'a> {
-    fn new(n: usize, prev_seq: &'a [[NodeId; 3]], touched_indices: &[u32]) -> Self {
-        let mut touched = vec![false; 3 * n + 1];
-        for &i in touched_indices {
-            if (i as usize) < 2 * n {
-                touched[i as usize] = true;
-            }
-        }
-        Frontier {
-            prev_seq,
-            touched,
-            diverged: false,
-        }
-    }
-
-    /// The candidate filter for step `qubit`, or `None` when the step
-    /// must scan in full: the tree has left the old prefix, or the old
-    /// winner is itself touched.
-    fn filter(&self, qubit: usize) -> Option<Filter<'_>> {
-        let prev = self.prev_seq[qubit];
-        let open = !self.diverged && !prev.iter().any(|&v| self.touched[v]);
-        open.then_some(Filter {
-            prev,
-            touched: &self.touched,
-        })
-    }
-
-    /// Records step `qubit`'s choice of `children` under `parent`.
-    fn record_attach(&mut self, qubit: usize, parent: NodeId, children: [NodeId; 3]) {
-        self.diverged |= children != self.prev_seq[qubit];
-        self.touched[parent] = children.iter().any(|&v| self.touched[v]);
-    }
-}
-
-/// One remap step's candidate filter (see [`hatt_single`]): only the
-/// previous winner and the candidates that touch a marked subtree can
-/// win the step.
-#[derive(Clone, Copy)]
-struct Filter<'a> {
-    prev: [NodeId; 3],
-    touched: &'a [bool],
-}
-
-impl Filter<'_> {
-    fn admits(&self, children: [NodeId; 3]) -> bool {
-        children == self.prev || children.iter().any(|&v| self.touched[v])
-    }
-}
-
 /// A chosen `[X, Y, Z]` child triple and its settled weight.
 struct Selection {
     children: [NodeId; 3],
     weight: usize,
 }
 
+fn counts_of(
+    engine: &mut TermEngine,
+    options: &HattOptions,
+    [a, b, c]: [NodeId; 3],
+) -> TripleCounts {
+    if options.naive_weight {
+        engine.counts_of_triple_naive(a, b, c)
+    } else {
+        engine.counts_of_triple_memo(a, b, c)
+    }
+}
+
 fn score_of(
     engine: &mut TermEngine,
     options: &HattOptions,
     blend: Blend,
-    [a, b, c]: [NodeId; 3],
+    children: [NodeId; 3],
 ) -> TripleScore {
-    let counts = if options.naive_weight {
-        engine.counts_of_triple_naive(a, b, c)
-    } else {
-        engine.counts_of_triple_memo(a, b, c)
-    };
-    counts.score(blend)
+    counts_of(engine, options, children).score(blend)
+}
+
+/// Above this many tree nodes (`3N + 1`) a [`Variant::Cached`] greedy
+/// pass keeps no [`ScoreTable`] and scans every candidate each step, as
+/// the other passes do. The table holds `N·(3N + 1)` entries of 12
+/// bytes: 347 KB at N = 98, 2.4 MB at N = 256 and 16.8 MB at the limit
+/// (N = 682), where the engine's pairwise memo, bounded at the same node
+/// count, is ~25 MB.
+const SCORE_TABLE_NODE_LIMIT: usize = 2048;
+
+/// A table entry no candidate has filled yet. No real entry can equal
+/// it: the three counts of one triple sum to at most the term count,
+/// which fits a `u32`.
+const UNSCORED: [u32; 3] = [u32::MAX; 3];
+
+/// The per-construction score table of a [`Variant::Cached`] greedy
+/// pass: the membership counts of each candidate scored so far, so
+/// that each candidate is scored once per construction instead of once
+/// per step.
+///
+/// A candidate is an X/Y pair of roots plus a Z root. The row is the
+/// pair, named by its free leaves `(2m, 2m + 1)` (row `m`), the column
+/// is Z. An entry stays valid while its row names the same two roots
+/// and its column is a root, because a root's incidence never changes
+/// while it is a root. Each attach keeps every other entry a later step
+/// reads: the merged pair's row and the merged roots' columns are never
+/// read again, the new parent's column starts empty, and only the row
+/// whose partner root was the merged `O_Z` now names a different pair
+/// (the parent inherits `descZ(O_Z)`). That row is cleared.
+struct ScoreTable {
+    /// Mode count `N`: the table has `N` rows of `3N + 1` columns.
+    n: usize,
+    /// `(n₁, n₂, n₃)` per entry, [`UNSCORED`] where not yet scored.
+    counts: Vec<[u32; 3]>,
+}
+
+impl ScoreTable {
+    /// The table for one construction pass, or `None` when the pass
+    /// scans in full: the [`Variant::Paired`] and [`Variant::Unopt`]
+    /// references, the lookahead (its shortlist wants every visit) and
+    /// trees over [`SCORE_TABLE_NODE_LIMIT`] nodes.
+    fn for_pass(n: usize, options: &HattOptions) -> Option<ScoreTable> {
+        let n_nodes = 3 * n + 1;
+        let tabled = options.variant == Variant::Cached
+            && !matches!(options.policy, SelectionPolicy::Lookahead { .. })
+            && n_nodes <= SCORE_TABLE_NODE_LIMIT;
+        tabled.then(|| ScoreTable {
+            n,
+            counts: vec![UNSCORED; n * n_nodes],
+        })
+    }
+
+    /// Algorithm 3 greedy selection over the node set `u`: the same
+    /// winner as the full scan of [`select_paired`], with each candidate
+    /// scored only the first time any step visits it.
+    ///
+    /// The full scan meets every candidate twice per step, once from
+    /// each root of its X/Y pair as `O_X`. This pass walks each pair
+    /// once, from its smaller root (first in the ascending `u`), then Z
+    /// ascending: each candidate's first visit in the full scan, in the
+    /// same order. The repeat visit carries the same score, so under
+    /// the strict-`<` first-wins rule it never wins and both passes
+    /// elect the same triple.
+    fn select(
+        &mut self,
+        engine: &mut TermEngine,
+        u: &[NodeId],
+        options: &HattOptions,
+        blend: Blend,
+        stats: &mut IterationStats,
+        state: &PairingState,
+    ) -> Result<Selection, HattError> {
+        let stride = 3 * self.n + 1;
+        let mut best: Option<(TripleScore, [NodeId; 3])> = None;
+        for &ox in u {
+            let x_leaf = state.mdown[ox];
+            if x_leaf == 2 * self.n {
+                continue; // O_2N never pairs (paper §IV-B)
+            }
+            let oy = state.mup[x_leaf ^ 1];
+            if oy < ox {
+                continue; // this pair was walked from `oy`
+            }
+            debug_assert!(u.contains(&oy), "derived O_Y must be a current root");
+            // The even leaf sits on the X branch (Algorithm 2 line 15).
+            let [x, y] = if x_leaf % 2 == 0 { [ox, oy] } else { [oy, ox] };
+            let row = x_leaf / 2 * stride;
+            for &oz in u {
+                if oz == ox || oz == oy {
+                    continue;
+                }
+                let children = [x, y, oz];
+                let entry = &mut self.counts[row + oz];
+                if *entry == UNSCORED {
+                    stats.candidates += 1;
+                    let c = counts_of(engine, options, children);
+                    *entry = [c.n1, c.n2, c.n3].map(|k| k as u32);
+                }
+                let [n1, n2, n3] = entry.map(|k| k as usize);
+                let score = TripleCounts { n1, n2, n3 }.score(blend);
+                if best.as_ref().is_none_or(|b| score < b.0) {
+                    best = Some((score, children));
+                }
+            }
+        }
+        // Infallible for the reason given in `select_paired`.
+        debug_assert!(best.is_some(), "paired selection must find a candidate");
+        let (score, children) = best.ok_or(HattError::Internal(
+            "paired selection found no candidate although |U| >= 3",
+        ))?;
+        Ok(Selection {
+            children,
+            weight: score.weight,
+        })
+    }
+
+    /// Empties the row of the pair owning free leaf `leaf` (a no-op for
+    /// the never-pairing `O_2N`, which has no row).
+    fn clear_pair(&mut self, leaf: NodeId) {
+        let stride = 3 * self.n + 1;
+        let row = leaf / 2 * stride;
+        if let Some(entries) = self.counts.get_mut(row..row + stride) {
+            entries.fill(UNSCORED);
+        }
+    }
 }
 
 /// Algorithm 2/3 selection: the best paired candidate of the node set
-/// `u` under the policy. `walk` selects how pairs are derived (see
-/// [`for_each_paired_candidate`]); the maps in `state` are kept
-/// current either way, so the lookahead simulation can use them. With a
-/// remap `filter`, only the candidates it admits are scored.
+/// `u` under the policy, scanning every candidate. `walk` selects how
+/// pairs are derived (see [`for_each_paired_candidate`]); the maps in
+/// `state` are kept current either way, so the lookahead simulation can
+/// use them.
 #[allow(clippy::too_many_arguments)]
 fn select_paired(
     engine: &mut TermEngine,
@@ -507,7 +568,6 @@ fn select_paired(
     next_parent: NodeId,
     stats: &mut IterationStats,
     state: &mut PairingState,
-    filter: Option<Filter>,
 ) -> Result<Selection, HattError> {
     let width = match options.policy {
         SelectionPolicy::Lookahead { width } => width,
@@ -516,9 +576,6 @@ fn select_paired(
     let mut shortlist: Vec<(TripleScore, [NodeId; 3])> = Vec::new();
     let mut best: Option<(TripleScore, [NodeId; 3])> = None;
     let steps = for_each_paired_candidate(state, walk, u, n, |children| {
-        if filter.is_some_and(|f| !f.admits(children)) {
-            return;
-        }
         stats.candidates += 1;
         let score = score_of(engine, options, blend, children);
         if best.as_ref().is_none_or(|b| score < b.0) {
@@ -532,10 +589,8 @@ fn select_paired(
     // Infallible for every reachable input: `n >= 1` guarantees `|U| >=
     // 3`, and a node set of three or more current roots always admits a
     // paired candidate (the one leaf that never pairs, `O_2N`, excludes
-    // at most one `O_X` choice); a remap filter always admits the
-    // previous winner, which the replayed prefix re-enumerates. Kept on
-    // the `Result` path anyway so the invariant can never become a
-    // user-facing panic.
+    // at most one `O_X` choice). Kept on the `Result` path anyway so the
+    // invariant can never become a user-facing panic.
     debug_assert!(best.is_some(), "paired selection must find a candidate");
     let (score, children) = best.ok_or(HattError::Internal(
         "paired selection found no candidate although |U| >= 3",
@@ -985,41 +1040,17 @@ pub(crate) fn hatt_replay(
     assemble(options, &engine, builder, iterations, start)
 }
 
-/// Whether `options` admit the incremental remap
-/// ([`hatt_remap`]). Only the single-pass greedy policies qualify:
-/// lookahead re-ranks by simulated next steps and the beam keeps
-/// multiple prefixes alive, so neither can reuse a single previous
-/// merge sequence; the restarts portfolio would need one sequence *per
-/// member*. `Unopt` is out because its free-triple scan has no pairing
-/// structure to skip over. Unsupported options simply fall back to a
-/// fresh construction — same result, no savings.
+/// Whether a remap under `options` is served as a remap: counted in
+/// [`MappingCache::remaps`](crate::MappingCache::remaps), timed under
+/// the `remap` span and stored with its ancestor as lineage. Only the
+/// single-pass greedy policies over the paired variants qualify; other
+/// options count as a cold construction. Both run the cold build's
+/// pass, so this decides the bookkeeping, never the result.
 pub(crate) fn remap_supported(options: &HattOptions) -> bool {
     matches!(
         options.policy,
         SelectionPolicy::Greedy | SelectionPolicy::Vanilla
     ) && !matches!(options.variant, Variant::Unopt)
-}
-
-/// Incremental greedy construction seeded by a previous merge sequence:
-/// [`hatt_single`] with a [`Frontier`], so the output is bit-identical
-/// to a fresh construction of `h` (see there for why).
-///
-/// `h` is the *new* (post-delta) Hamiltonian, `prev_seq` the merge
-/// sequence of the previous mapping (same mode count, options passing
-/// [`remap_supported`]), and `touched` the Majorana indices whose terms
-/// the delta added or removed.
-pub(crate) fn hatt_remap(
-    h: &MajoranaSum,
-    options: &HattOptions,
-    prev_seq: &[[NodeId; 3]],
-    touched: &[u32],
-) -> Result<HattMapping, HattError> {
-    let n = h.n_modes();
-    debug_assert!(n >= 1, "caller gates on EmptyHamiltonian");
-    debug_assert_eq!(prev_seq.len(), n, "caller gates on sequence length");
-    debug_assert!(remap_supported(options), "caller gates on remap_supported");
-    let frontier = Frontier::new(n, prev_seq, touched);
-    hatt_single(h, options, options.policy.blend(), Some(frontier))
 }
 
 /// Runs one [`PortfolioMember`] of the restarts portfolio as a complete,
@@ -1038,7 +1069,6 @@ fn run_portfolio_member(
                 ..*options
             },
             blend,
-            None,
         ),
         PortfolioMember::Beam { width } => hatt_beam(
             h,
@@ -1290,13 +1320,44 @@ mod tests {
     }
 
     #[test]
-    fn cached_candidate_counts_are_quadratic_per_step() {
-        let h = MajoranaSum::uniform_singles(4);
-        let m = build_default(&h);
-        let first = &m.stats().iterations[0];
-        // ≤ |U|·(|U|−1) ordered pairs, minus skips.
-        assert!(first.candidates <= 72, "got {}", first.candidates);
-        assert!(first.candidates >= 36, "got {}", first.candidates);
+    fn cached_pass_scores_each_candidate_once_per_construction() {
+        use crate::batch::merge_sequence;
+
+        for seed in 0..4 {
+            let op = hatt_fermion::models::random_hermitian(6, 8, 6, seed);
+            let h = MajoranaSum::from_fermion(&op);
+            let n = h.n_modes();
+            let m = build_default(&h);
+            let seq = merge_sequence(m.tree());
+            let its = &m.stats().iterations;
+            // Step 0: the N leaf pairs, each against the 2N − 1 other
+            // leaves as Z.
+            assert_eq!(its[0].candidates, (n * (2 * n - 1)) as u64, "seed {seed}");
+            // Later steps: only candidates containing the new parent
+            // (as Z, against every other pair) or the root re-paired
+            // with it (its pair against every other root as Z).
+            let mut builder = TernaryTreeBuilder::new(n);
+            let mut state = PairingState::new(n);
+            for (step, &[x, y, z]) in seq.iter().enumerate() {
+                let parent = builder.attach([x, y, z]);
+                state.record_attach(parent, z);
+                let Some(it) = its.get(step + 1) else { break };
+                let u = builder.roots();
+                let pairs = u.iter().filter(|&&r| state.mdown[r] < 2 * n).count() / 2;
+                let repaired = state.mdown[parent] < 2 * n;
+                let expect = if repaired {
+                    (pairs - 1) + (u.len() - 2)
+                } else {
+                    pairs
+                };
+                assert_eq!(
+                    it.candidates,
+                    expect as u64,
+                    "seed {seed} step {}",
+                    step + 1
+                );
+            }
+        }
     }
 
     #[test]
@@ -1320,11 +1381,12 @@ mod tests {
         assert_eq!(err, HattError::EmptyHamiltonian);
     }
 
-    /// Direct kernel-level differential check; the full randomized suite
-    /// (policies × threads × socket) lives in `tests/remap_differential.rs`.
+    /// Direct differential check of the remap path; the full randomized
+    /// suite (policies × threads × socket) lives in
+    /// `tests/remap_differential.rs`.
     #[test]
     fn remap_kernel_matches_fresh_construction_bit_identically() {
-        use crate::batch::merge_sequence;
+        use crate::batch::MappingCache;
         use hatt_fermion::HamiltonianDelta;
 
         for variant in [Variant::Paired, Variant::Cached] {
@@ -1333,8 +1395,8 @@ mod tests {
                 let mut h = MajoranaSum::from_fermion(&op);
                 let _ = h.take_identity();
                 let options = opts(variant);
-                let prev = hatt_with_impl(&h, &options).unwrap();
-                let prev_seq = merge_sequence(prev.tree());
+                let cache = MappingCache::new();
+                cache.try_get_or_build(&h, &options).unwrap();
 
                 // Remove one existing term, add one absent term.
                 let (victim, coeff) = h.iter().next().map(|(i, c)| (i.to_vec(), c)).unwrap();
@@ -1347,8 +1409,8 @@ mod tests {
                 let next = delta.apply(&h).unwrap();
 
                 let fresh = hatt_with_impl(&next, &options).unwrap();
-                let remap =
-                    hatt_remap(&next, &options, &prev_seq, &delta.support_touched()).unwrap();
+                let remap = cache.try_remap_or_build(&h, &delta, &options).unwrap();
+                assert_eq!(cache.remaps(), 1, "{variant:?}/{seed}");
                 assert_eq!(remap.tree(), fresh.tree(), "{variant:?}/{seed}");
                 for (a, b) in remap
                     .stats()
@@ -1363,6 +1425,159 @@ mod tests {
                     );
                 }
                 assert_eq!(remap.stats().n_terms, fresh.stats().n_terms);
+            }
+        }
+    }
+}
+
+/// The [`ScoreTable`] pass against the literal Algorithm 2 scan of
+/// [`Variant::Paired`]: same tree, merge sequence and per-step settled
+/// weights under every blend a table pass runs with, on random and
+/// tie-heavy Hamiltonians and along seeded remap chains.
+#[cfg(test)]
+mod table_differential {
+    use super::*;
+    use crate::batch::{merge_sequence, MappingCache};
+    use hatt_fermion::HamiltonianDelta;
+    use hatt_pauli::Complex64;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// `Vanilla`'s blend and the restarts portfolio's three.
+    const BLENDS: [Blend; 4] = [Blend::PAPER, Blend::HALF, Blend::UNIT, Blend::DOUBLE];
+
+    /// `len` distinct Majorana indices of an `n`-mode system.
+    fn support(rng: &mut StdRng, n: usize, len: usize) -> Vec<u32> {
+        let mut s: Vec<u32> = Vec::with_capacity(len);
+        while s.len() < len.min(2 * n) {
+            let i = rng.gen_range(0..2 * n as u32);
+            if !s.contains(&i) {
+                s.push(i);
+            }
+        }
+        s
+    }
+
+    fn sum_of(n: usize, supports: &[Vec<u32>]) -> MajoranaSum {
+        let mut h = MajoranaSum::new(n);
+        for (k, s) in supports.iter().enumerate() {
+            h.add(Complex64::real(1.0 + k as f64), s);
+        }
+        h
+    }
+
+    /// The roster: random Hamiltonians plus the tie-heavy shapes
+    /// (uniform singles, a small pool of supports drawn with repeats,
+    /// one term, all-quartic).
+    fn roster() -> Vec<(String, MajoranaSum)> {
+        let mut rng = StdRng::seed_from_u64(0x7ab1e);
+        let mut cases = Vec::new();
+        for n in [1, 2, 3, 5, 8, 13, 24] {
+            cases.push((format!("singles/{n}"), MajoranaSum::uniform_singles(n)));
+        }
+        for seed in 0..16 {
+            let n = 2 + seed as usize;
+            let op = hatt_fermion::models::random_hermitian(n, 2 * n, n, seed);
+            let mut h = MajoranaSum::from_fermion(&op);
+            let _ = h.take_identity();
+            cases.push((format!("random/{seed}"), h));
+        }
+        for n in [3, 6, 11, 20] {
+            let pool: Vec<Vec<u32>> = (0..3).map(|_| support(&mut rng, n, 2)).collect();
+            let picks: Vec<Vec<u32>> = (0..4 * n)
+                .map(|_| pool[rng.gen_range(0..3)].clone())
+                .collect();
+            cases.push((format!("duplicates/{n}"), sum_of(n, &picks)));
+            cases.push((
+                format!("one-term/{n}"),
+                sum_of(n, &[support(&mut rng, n, 4)]),
+            ));
+            let quartic: Vec<Vec<u32>> = (0..2 * n).map(|_| support(&mut rng, n, 4)).collect();
+            cases.push((format!("quartic/{n}"), sum_of(n, &quartic)));
+        }
+        cases
+    }
+
+    fn options(variant: Variant, policy: SelectionPolicy) -> HattOptions {
+        HattOptions {
+            variant,
+            policy,
+            ..Default::default()
+        }
+    }
+
+    fn assert_same(tag: &str, table: &HattMapping, scan: &HattMapping) {
+        assert_eq!(table.tree(), scan.tree(), "{tag}: tree");
+        assert_eq!(
+            merge_sequence(table.tree()),
+            merge_sequence(scan.tree()),
+            "{tag}: merge sequence"
+        );
+        let weights = |m: &HattMapping| -> Vec<usize> {
+            m.stats()
+                .iterations
+                .iter()
+                .map(|it| it.settled_weight)
+                .collect()
+        };
+        assert_eq!(weights(table), weights(scan), "{tag}: settled weights");
+    }
+
+    #[test]
+    fn table_pass_equals_the_paired_scan_under_every_blend() {
+        for (name, h) in roster() {
+            for blend in BLENDS {
+                let greedy = SelectionPolicy::Greedy;
+                let table = hatt_single(&h, &options(Variant::Cached, greedy), blend).unwrap();
+                let scan = hatt_single(&h, &options(Variant::Paired, greedy), blend).unwrap();
+                let tag = format!("{name} λ={}/{}", blend.num, blend.den);
+                assert_same(&tag, &table, &scan);
+                // The table pass did score through the table.
+                let scored = |m: &HattMapping| m.stats().total_candidates();
+                assert!(scored(&table) <= scored(&scan), "{tag}: candidates");
+            }
+        }
+    }
+
+    /// A random edit of `h`: drop one term, add one absent support, or
+    /// both.
+    fn random_delta(rng: &mut StdRng, h: &MajoranaSum) -> HamiltonianDelta {
+        let n = h.n_modes();
+        let mut delta = HamiltonianDelta::new(n);
+        let kind = rng.gen_range(0..3);
+        if kind != 1 && h.n_terms() > 1 {
+            let k = rng.gen_range(0..h.n_terms());
+            let (support, coeff) = h.iter().nth(k).map(|(s, c)| (s.to_vec(), c)).unwrap();
+            delta.push_remove(coeff, &support).unwrap();
+        }
+        if kind != 0 {
+            let len = [1, 2, 4][rng.gen_range(0..3)];
+            let added = support(rng, n, len);
+            if h.coefficient_of(&added).is_zero(1e-12) {
+                delta.push_add(Complex64::real(0.5), &added).unwrap();
+            }
+        }
+        delta
+    }
+
+    #[test]
+    fn table_remap_chains_equal_the_paired_scan() {
+        for policy in [SelectionPolicy::Greedy, SelectionPolicy::Vanilla] {
+            for (seed, (name, base)) in roster().into_iter().enumerate() {
+                let mut rng = StdRng::seed_from_u64(seed as u64);
+                let table_opts = options(Variant::Cached, policy);
+                let scan_opts = options(Variant::Paired, policy);
+                let cache = MappingCache::new();
+                cache.try_get_or_build(&base, &table_opts).unwrap();
+                let mut h = base;
+                for step in 0..6 {
+                    let delta = random_delta(&mut rng, &h);
+                    let next = delta.apply(&h).unwrap();
+                    let table = cache.try_remap_or_build(&h, &delta, &table_opts).unwrap();
+                    let scan = hatt_with_impl(&next, &scan_opts).unwrap();
+                    assert_same(&format!("{name} {policy} step {step}"), &table, &scan);
+                    h = next;
+                }
             }
         }
     }

@@ -1,7 +1,7 @@
 //! Batched construction: [`Mapper::map_batch`](crate::Mapper::map_batch)
 //! maps a slice of Hamiltonians concurrently, consulting a
 //! structure-keyed [`MappingCache`] so repeated structures skip the
-//! `O(N³)` selection work entirely.
+//! selection work entirely.
 //!
 //! ## Why structure, not value
 //!
@@ -27,7 +27,7 @@
 //! ## What a hit returns
 //!
 //! A hit replays the cached merge sequence against the *new* operator
-//! (no candidate selection — the `O(N³)` part — just `N` reduces), so
+//! (no candidate selection, just `N` reduces), so
 //! the returned [`HattMapping`] carries exact per-step settled weights
 //! for the new Hamiltonian and the tree is re-validated against it in
 //! the process: replay re-attaches every internal node and re-reduces
@@ -36,7 +36,7 @@
 //! Probes also dedupe **in flight**: a structure is claimed at first
 //! probe, so when a concurrent batch contains the same structure many
 //! times, exactly one worker constructs it and the rest block briefly
-//! on its slot and replay — the cache never does the same `O(N³)` work
+//! on its slot and replay — the cache never builds the same structure
 //! twice, even within one batch.
 //!
 //! ## Eviction
@@ -101,9 +101,7 @@ use hatt_store::fnv1a64;
 // through these signatures.
 use hatt_trace::span;
 
-use crate::algorithm::{
-    hatt_remap, hatt_replay, hatt_with_impl, remap_supported, HattMapping, HattOptions,
-};
+use crate::algorithm::{hatt_replay, hatt_with_impl, remap_supported, HattMapping, HattOptions};
 use crate::error::HattError;
 use crate::store::{StoreTier, StoreTierStats};
 
@@ -333,28 +331,21 @@ impl CacheInner {
         (slot, true)
     }
 
-    /// Read-only lookup of a *resolved* entry's merge sequence. Unlike
+    /// Read-only check for a *resolved* entry. Unlike
     /// [`CacheInner::probe`] this never claims, never blocks on a
     /// pending slot, and moves no counters or LRU clocks — it is the
     /// remap path asking "do we happen to still know the ancestor's
     /// tree?", and a miss there is not a cache miss of the requested
     /// structure. (Locking a slot under the cache lock is fine; eviction
     /// already does it.)
-    fn peek(
-        &self,
-        hash: u64,
-        structure: &Structure,
-        options: &HattOptions,
-    ) -> Option<Vec<[NodeId; 3]>> {
-        let entry = self
-            .buckets
-            .get(&hash)?
-            .iter()
-            .find(|e| e.options == *options && e.structure == *structure)?;
-        match &*entry.slot.lock() {
-            SlotState::Ready(seq) => Some(seq.clone()),
-            _ => None,
-        }
+    fn holds(&self, hash: u64, structure: &Structure, options: &HattOptions) -> bool {
+        self.buckets.get(&hash).is_some_and(|bucket| {
+            bucket.iter().any(|e| {
+                e.options == *options
+                    && e.structure == *structure
+                    && matches!(*e.slot.lock(), SlotState::Ready(_))
+            })
+        })
     }
 
     /// Evicts least-recently-used *resolved* entries until the bound
@@ -451,12 +442,12 @@ pub struct MappingCache {
     /// *both* tiers. The persistence smoke test pins this at zero for a
     /// fully warm-started daemon.
     constructions: AtomicU64,
-    /// Incremental rebuilds run by the remap fast path
-    /// ([`MappingCache::try_remap_or_build`]): the ancestor's merge
-    /// sequence was found and replay-with-reselection replaced a cold
-    /// construction. Deliberately *not* counted in `constructions` —
-    /// the differential harness pins remapped workloads at strictly
-    /// fewer constructions than fresh ones.
+    /// Rebuilds served by the remap path
+    /// ([`MappingCache::try_remap_or_build`]): the ancestor's tree was
+    /// found, so the build is recorded as its descendant. Deliberately
+    /// *not* counted in `constructions` — the differential harness pins
+    /// remapped workloads at strictly fewer constructions than fresh
+    /// ones.
     remaps: AtomicU64,
 }
 
@@ -524,10 +515,12 @@ impl MappingCache {
         self.constructions.load(Ordering::Relaxed)
     }
 
-    /// Incremental rebuilds run by [`MappingCache::try_remap_or_build`]
-    /// — probes that missed both tiers for the *requested* structure but
-    /// found the ancestor's tree and re-selected only the delta's
-    /// frontier instead of constructing cold.
+    /// Rebuilds served by [`MappingCache::try_remap_or_build`] — probes
+    /// that missed both tiers for the *requested* structure but found
+    /// the ancestor's tree. A remap runs the cold build's pass, which
+    /// scores each candidate once per construction; the count separates
+    /// session edits from cold constructions, and the store records
+    /// each remap's ancestor as its lineage.
     pub fn remaps(&self) -> u64 {
         self.remaps.load(Ordering::Relaxed)
     }
@@ -590,16 +583,15 @@ impl MappingCache {
     /// 1. If the *post-delta* structure hits either tier, the cached
     ///    merge sequence is replayed — the delta turned out to land on
     ///    a structure already known.
-    /// 2. Otherwise, if `prev`'s merge sequence is still available
-    ///    (in memory or on disk) and the options admit it
-    ///    (single-pass greedy policies, paired variants), the tree is
-    ///    rebuilt *incrementally*: only candidate triples whose
-    ///    subtrees the delta touches are re-scored, the rest of the
-    ///    previous selection is replayed. The result is bit-identical
+    /// 2. Otherwise, if `prev`'s tree is still known (in memory or on
+    ///    disk) and the options admit a remap (single-pass greedy
+    ///    policies, paired variants), the tree is rebuilt as a remap:
+    ///    the cold build's pass, counted in [`MappingCache::remaps`]
+    ///    and timed under the `remap` span. The result is bit-identical
     ///    to a fresh construction (`tests/remap_differential.rs`), and
     ///    the write-through record carries `prev`'s structure hash as
     ///    its `lineage`.
-    /// 3. Otherwise it degrades to an ordinary cold construction.
+    /// 3. Otherwise it is an ordinary cold construction.
     ///
     /// A delta that does not apply cleanly to `prev` (removing an
     /// absent term, adding a present one, mode mismatch) is
@@ -611,22 +603,20 @@ impl MappingCache {
         options: &HattOptions,
     ) -> Result<HattMapping, HattError> {
         let next = delta.apply(prev)?;
-        let prev_structure = Structure::of(prev);
-        let touched = delta.support_touched();
-        self.resolve(&next, options, Some((&prev_structure, &touched)))
+        self.resolve(&next, options, Some(&Structure::of(prev)))
     }
 
     /// The shared probe/own/follow flow behind
     /// [`MappingCache::try_get_or_build`] (no ancestor) and
     /// [`MappingCache::try_remap_or_build`] (ancestor = the pre-delta
-    /// structure plus the touched Majorana indices). The ancestor is
-    /// consulted only where a cold construction would otherwise run, so
-    /// it can change how fast a result is produced but never which one.
+    /// structure). The ancestor is consulted only where a cold
+    /// construction would otherwise run, so it can change how the
+    /// build is recorded but never its result.
     fn resolve(
         &self,
         h: &MajoranaSum,
         options: &HattOptions,
-        ancestor: Option<(&Structure, &[u32])>,
+        ancestor: Option<&Structure>,
     ) -> Result<HattMapping, HattError> {
         // The worker cap changes scheduling, never results: normalize it
         // out of the cache identity.
@@ -662,7 +652,7 @@ impl MappingCache {
                 // construction, with the ancestor recorded as lineage.
                 if let Some(tier) = &self.store {
                     span("store.save", || {
-                        tier.save(&structure, &norm, &mapping, ancestor.map(|(s, _)| s.hash()));
+                        tier.save(&structure, &norm, &mapping, ancestor.map(Structure::hash));
                     });
                 }
                 slot.fill(merge_sequence(mapping.tree()));
@@ -698,44 +688,42 @@ impl MappingCache {
         }
     }
 
-    /// The incremental fast path: looks the ancestor's merge sequence up
-    /// (memory first — read-only peek, no counters — then the
-    /// persistent tier) and rebuilds from it when the options admit the
-    /// remap kernel. `Ok(None)` means "no usable ancestor, construct
-    /// cold"; any damaged, missing or mismatched ancestor record lands
-    /// there, so remap lineage faults degrade gracefully
-    /// (`tests/store_persistence.rs`).
+    /// The remap path: looks the ancestor's tree up (memory first —
+    /// read-only, no counters — then the persistent tier) and, when the
+    /// options admit a remap, builds `h` as its descendant. `Ok(None)`
+    /// means "no usable ancestor, construct cold"; any damaged, missing
+    /// or mismatched ancestor record lands there, so remap lineage
+    /// faults degrade gracefully (`tests/store_persistence.rs`).
     fn remap_from_ancestor(
         &self,
         h: &MajoranaSum,
         options: &HattOptions,
         norm: &HattOptions,
-        ancestor: Option<(&Structure, &[u32])>,
+        ancestor: Option<&Structure>,
     ) -> Result<Option<HattMapping>, HattError> {
-        let Some((prev_structure, touched)) = ancestor else {
+        let Some(prev_structure) = ancestor else {
             return Ok(None);
         };
         let n = h.n_modes();
         if n == 0 || prev_structure.n_modes != n || !remap_supported(norm) {
             return Ok(None);
         }
-        let prev_hash = prev_structure.hash();
-        let seq = self
+        // Two statements, so the cache lock is released before the
+        // store read.
+        let in_memory = self
             .lock()
-            .peek(prev_hash, prev_structure, norm)
-            .or_else(|| {
-                self.store
-                    .as_ref()
-                    .and_then(|tier| tier.load(prev_structure, norm))
-            });
-        let Some(seq) = seq else {
-            return Ok(None);
-        };
-        if seq.len() != n {
+            .holds(prev_structure.hash(), prev_structure, norm);
+        let known = in_memory
+            || self
+                .store
+                .as_ref()
+                .and_then(|tier| tier.load(prev_structure, norm))
+                .is_some_and(|seq| seq.len() == n);
+        if !known {
             return Ok(None);
         }
         self.remaps.fetch_add(1, Ordering::Relaxed);
-        span("remap", || hatt_remap(h, options, &seq, touched)).map(Some)
+        span("remap", || hatt_with_impl(h, options)).map(Some)
     }
 
     fn lock(&self) -> MutexGuard<'_, CacheInner> {

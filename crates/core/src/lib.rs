@@ -37,7 +37,9 @@
 //! * **Algorithm 2** (`Paired`): vacuum-state-preserving operator pairing
 //!   with literal tree traversals;
 //! * **Algorithm 3** (`Cached`, default): the `mdown`/`mup` maps reduce
-//!   pairing traversals to O(1), for `O(N³)` total.
+//!   pairing traversals to O(1), for `O(N³)` total; its greedy pass
+//!   also scores each candidate once per construction, not once per
+//!   step.
 //!
 //! Orthogonally, a [`hatt_mappings::SelectionPolicy`] (set via
 //! [`Mapper::builder`]) decides *which* candidate triple wins each

@@ -42,7 +42,7 @@ use hatt_mappings::FermionMapping as _;
 /// defaults), then call [`Mapper::map`] / [`Mapper::map_fermion`] /
 /// [`Mapper::map_batch`] as often as needed. The handle owns a
 /// [`MappingCache`], so repeated term *structures* — the service sweep
-/// workload — skip the `O(N³)` selection work after the first call;
+/// workload — skip the selection work after the first call;
 /// results are bit-identical either way (a hit replays the cached merge
 /// sequence against the new operator).
 ///
@@ -141,20 +141,22 @@ impl Mapper {
         self.cache.try_get_or_build(h, &self.options)
     }
 
-    /// Maps the Hamiltonian obtained by applying `delta` to `prev`,
-    /// reusing `prev`'s construction wherever possible instead of
-    /// building from scratch — the entry point for workloads that
-    /// evolve a Hamiltonian term by term (adaptive ansatz growth,
-    /// geometry scans that add/drop interactions).
+    /// Maps the Hamiltonian obtained by applying `delta` to `prev` —
+    /// the entry point for workloads that evolve a Hamiltonian term by
+    /// term (adaptive ansatz growth, geometry scans that add/drop
+    /// interactions).
     ///
     /// The result is **bit-identical** to
     /// `self.map(&delta.apply(prev)?)` — same tree, same per-step
-    /// settled weights (`tests/remap_differential.rs` pins this) — the
-    /// delta only changes how much selection work runs: when the
-    /// previous structure's tree is still cached (either tier) and the
-    /// options admit the incremental kernel, only candidate triples the
-    /// delta touches are re-scored. [`MappingCache::remaps`] counts the
-    /// incremental rebuilds.
+    /// settled weights (`tests/remap_differential.rs` pins this). A
+    /// post-delta structure already in either cache tier is replayed.
+    /// Otherwise, when `prev`'s tree is still cached (either tier) and
+    /// the options are a single-pass greedy policy on a paired variant,
+    /// the build runs as a remap: the same pass as a cold build, which
+    /// scores each candidate once per construction, counted in
+    /// [`MappingCache::remaps`] instead of
+    /// [`MappingCache::constructions`], with `prev`'s structure recorded
+    /// as the store record's lineage.
     ///
     /// # Errors
     ///

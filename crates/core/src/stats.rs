@@ -28,7 +28,11 @@ use std::time::Duration;
 pub struct IterationStats {
     /// The qubit settled in this iteration.
     pub qubit: usize,
-    /// Number of candidate selections whose weight was evaluated.
+    /// Number of candidate triples scored in this step. The cached
+    /// variant's greedy pass scores each candidate once per
+    /// construction, so after the first step it counts only the
+    /// candidates the previous merge created; the other passes score
+    /// every candidate they visit.
     pub candidates: u64,
     /// Number of tree-traversal steps performed while pairing (walking
     /// `descZ` / `traverse_up`); 0 for the cached variant, which replaces
@@ -62,7 +66,7 @@ impl ConstructionStats {
         self.iterations.iter().map(|it| it.settled_weight).sum()
     }
 
-    /// Total candidate selections evaluated across all iterations.
+    /// Total candidate triples scored across all iterations.
     pub fn total_candidates(&self) -> u64 {
         self.iterations.iter().map(|it| it.candidates).sum()
     }

@@ -335,20 +335,6 @@ impl HamiltonianDelta {
             ops: self.ops.iter().rev().map(DeltaOp::inverted).collect(),
         }
     }
-
-    /// The sorted, deduplicated union of every edited term's support —
-    /// the Majorana indices (leaf nodes) where term incidence changes,
-    /// which seeds the incremental rebuild's affected set.
-    pub fn support_touched(&self) -> Vec<u32> {
-        let mut touched: Vec<u32> = self
-            .ops
-            .iter()
-            .flat_map(|op| op.support().iter().copied())
-            .collect();
-        touched.sort_unstable();
-        touched.dedup();
-        touched
-    }
 }
 
 #[cfg(test)]
@@ -394,7 +380,6 @@ mod tests {
         // M2 M3 M2 = -M3.
         d.push_remove(Complex64::ONE, &[2, 3, 2]).unwrap();
         assert_eq!(d.ops()[1].support(), &[3]);
-        assert_eq!(d.support_touched(), vec![0, 1, 3]);
     }
 
     #[test]

@@ -21,8 +21,9 @@
 //! * `--threads` — worker cap for the scheduler and constructions
 //!   (default: `HATT_THREADS` / hardware count).
 //! * `--queue` — bounded scheduler queue capacity (default 256).
-//! * `--cache` — LRU bound on the structure cache (default unbounded;
-//!   `0` disables caching).
+//! * `--cache` — LRU bound on the structure cache (default 64 entries;
+//!   `0` disables caching). With `--store`, an evicted structure
+//!   reloads from disk instead of being rebuilt.
 //! * `--store` — persistent content-addressed mapping store: warm-starts
 //!   the cache from `PATH` on boot, writes every newly constructed
 //!   mapping through, and flushes on shutdown. A restarted daemon
@@ -45,11 +46,18 @@ use std::process::ExitCode;
 use hatt_core::Mapper;
 use hatt_service::{SchedulerConfig, Server, ServerConfig};
 
+/// The structure cache's default LRU bound. Every cache miss adds an
+/// entry (~10–13 KB at 98 modes), so an unbounded cache grows with
+/// every session edit. 64 entries keep a serving working set of a few
+/// dozen structures warm, and a remap session only needs its newest
+/// ancestor, which is the most recently used entry.
+const DEFAULT_CACHE_ENTRIES: usize = 64;
+
 struct Args {
     addr: String,
     threads: Option<usize>,
     queue: usize,
-    cache: Option<usize>,
+    cache: usize,
     store: Option<std::path::PathBuf>,
     max_conns: Option<usize>,
     max_line_bytes: Option<usize>,
@@ -65,7 +73,7 @@ fn parse_args() -> Result<Args, String> {
         addr: "127.0.0.1:7878".into(),
         threads: None,
         queue: 256,
-        cache: None,
+        cache: DEFAULT_CACHE_ENTRIES,
         store: None,
         max_conns: None,
         max_line_bytes: None,
@@ -93,11 +101,9 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("--queue: {e}"))?
             }
             "--cache" => {
-                args.cache = Some(
-                    value("--cache")?
-                        .parse()
-                        .map_err(|e| format!("--cache: {e}"))?,
-                )
+                args.cache = value("--cache")?
+                    .parse()
+                    .map_err(|e| format!("--cache: {e}"))?
             }
             "--store" => args.store = Some(value("--store")?.into()),
             "--max-conns" => {
@@ -141,7 +147,7 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn build_mapper(args: &Args) -> Result<Mapper, String> {
-    let mut builder = Mapper::builder();
+    let mut builder = Mapper::builder().cache_capacity(args.cache);
     if let Some(policy) = &args.policy {
         builder = builder.policy_str(policy);
     }
@@ -152,9 +158,6 @@ fn build_mapper(args: &Args) -> Result<Mapper, String> {
     }
     if let Some(threads) = args.threads {
         builder = builder.threads(threads);
-    }
-    if let Some(cache) = args.cache {
-        builder = builder.cache_capacity(cache);
     }
     if let Some(store) = &args.store {
         builder = builder.store_path(store);

@@ -55,8 +55,9 @@ pub fn request_streaming(
 
 /// Sends a [`MapDeltaRequest`] — incremental remapping of a base
 /// Hamiltonian plus a structural delta — and collects the single-item
-/// response. The daemon reuses the cached tree of the base structure
-/// when it has one, re-scoring only the touched frontier.
+/// response. When the daemon still knows the base structure's tree,
+/// the build counts as a remap of it (`stats.remaps`) rather than as a
+/// cold construction.
 ///
 /// # Examples
 ///

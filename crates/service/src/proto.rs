@@ -679,9 +679,9 @@ pub struct StatsReply {
     pub requests: u64,
     /// Real constructions run (both cache tiers missed).
     pub constructions: u64,
-    /// Incremental remaps served: `map_delta` requests whose base
-    /// structure was found in a cache tier, so only the touched
-    /// frontier was re-scored instead of a cold construction.
+    /// Remaps served: `map_delta` requests whose base structure was
+    /// found in a cache tier, so the build was recorded as its
+    /// descendant instead of as a cold construction.
     pub remaps: u64,
     /// Queued items skipped because their connection hung up before
     /// dispatch — work the disconnect cancellation saved.

@@ -322,7 +322,7 @@ impl Backend for Scheduler {
     }
 
     /// Runs the remap through the queue, like a one-item batch, so the
-    /// reactor worker stays free while the frontier re-scores.
+    /// reactor worker stays free while it builds.
     fn submit_delta(
         &self,
         req: &MapDeltaRequest,

@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hatt::core::{HattOptions, Mapper};
+use hatt::core::{HattOptions, Mapper, Variant};
 use hatt::fermion::models::{molecule_catalog, NeutrinoModel};
 use hatt::fermion::{HamiltonianDelta, MajoranaSum};
 use hatt::mappings::{validate, FermionMapping, SelectionPolicy};
@@ -480,6 +480,29 @@ fn map_delta_over_tcp_matches_a_fresh_build_and_counts_a_remap() {
     server.shutdown();
 }
 
+/// A 32-item request of distinct structures, each of which takes
+/// milliseconds to build even in a release build: 48-mode uniform
+/// singles plus one distinct pair term, under the literal Algorithm 2
+/// walks of `Variant::Paired`, which re-score every candidate on every
+/// step. The default variant builds such an item in about a
+/// millisecond and smaller ones in microseconds, so a backlog under it
+/// can drain within one round trip of a second client.
+fn slow_backlog(id: &str) -> MapRequest {
+    let hams = (1..=32)
+        .map(|k| {
+            let mut h = MajoranaSum::uniform_singles(48);
+            h.add(Complex64::ONE, &[0, k]);
+            h
+        })
+        .collect();
+    let mut request = MapRequest::new(id, hams);
+    request.options = Some(HattOptions {
+        variant: Variant::Paired,
+        ..HattOptions::default()
+    });
+    request
+}
+
 #[test]
 fn a_small_client_is_not_starved_behind_a_chatty_one() {
     // With two event loops the two clients land on different loops, so
@@ -505,13 +528,13 @@ fn small_client_overtakes_chatty_batch(event_workers: usize) {
     let addr = server.local_addr();
 
     // Client A: a 32-item batch of distinct structures (no cache hits).
-    let a_hams: Vec<MajoranaSum> = (4..36).map(MajoranaSum::uniform_singles).collect();
-    let a_total = a_hams.len();
+    let a_request = slow_backlog("chatty");
+    let a_total = a_request.hamiltonians.len();
     let a_seen = Arc::new(AtomicUsize::new(0));
     let a_thread = {
         let a_seen = Arc::clone(&a_seen);
         std::thread::spawn(move || {
-            client::request_streaming(addr, &MapRequest::new("chatty", a_hams), |_| {
+            client::request_streaming(addr, &a_request, |_| {
                 a_seen.fetch_add(1, Ordering::SeqCst);
             })
         })
@@ -961,9 +984,8 @@ fn disconnecting_mid_batch_cancels_queued_work() {
         let stream = TcpStream::connect(addr).expect("connect");
         let mut writer = stream.try_clone().expect("clone");
         let mut reader = BufReader::new(stream);
-        let hams: Vec<MajoranaSum> = (10..42).map(MajoranaSum::uniform_singles).collect();
         writer
-            .write_all(format!("{}\n", MapRequest::new("walkout", hams).to_line()).as_bytes())
+            .write_all(format!("{}\n", slow_backlog("walkout").to_line()).as_bytes())
             .expect("send");
         writer.flush().expect("flush");
         let mut line = String::new();
