@@ -137,6 +137,25 @@ impl MajoranaSum {
         }
     }
 
+    /// The sum that [`add`]ing `terms` in order builds, made in one bulk
+    /// pass. Every support must be canonical (strictly ascending indices
+    /// below `2·n_modes`) and the supports strictly ascending from term
+    /// to term, so no two terms merge.
+    ///
+    /// [`add`]: MajoranaSum::add
+    pub(crate) fn from_canonical_terms(n_modes: usize, terms: Vec<(Vec<u32>, Complex64)>) -> Self {
+        MajoranaSum {
+            n_modes,
+            terms: terms
+                .into_iter()
+                // What `add` keeps of a fresh term: `ZERO + c`, so a -0.0
+                // component reads 0.0, and nothing when that is zero.
+                .map(|(support, c)| (support, Complex64::ZERO + c))
+                .filter(|(_, c)| !c.is_zero(MAJORANA_EPS))
+                .collect(),
+        }
+    }
+
     /// Converts a second-quantized operator by expanding every ladder
     /// operator into its Majorana pair.
     pub fn from_fermion(op: &FermionOperator) -> Self {

@@ -15,6 +15,10 @@
 //! returns a typed [`WireError`] on any malformed document — no panic is
 //! reachable from wire input.
 //!
+//! [`write_majorana_sum_payload`] and [`read_majorana_sum_payload`] are
+//! the same payload codec without the [`Json`] tree: they write and read
+//! the text directly, for the service's one-pass request lines.
+//!
 //! # Examples
 //!
 //! ```
@@ -33,11 +37,14 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use hatt_pauli::json::Json;
+use std::fmt::Write as _;
+
+use hatt_pauli::json::{write_f64, Json, Reader};
 use hatt_pauli::wire::{
-    as_arr, as_obj, as_str, as_usize, checked_modes, coeff_fields, decode_coeff, envelope, field,
-    open_envelope, WireError,
+    as_arr, as_f64, as_obj, as_str, as_usize, checked_modes, coeff_fields, decode_coeff, envelope,
+    field, open_envelope, WireError,
 };
+use hatt_pauli::Complex64;
 
 use crate::{DeltaOp, HamiltonianDelta, MajoranaSum};
 
@@ -100,6 +107,120 @@ pub fn decode_majorana_sum_payload(v: &Json) -> Result<MajoranaSum, WireError> {
         sum.add(coeff, &indices);
     }
     Ok(sum)
+}
+
+/// Appends the bare payload of a Hamiltonian straight to `out`, byte for
+/// byte as rendering [`majorana_sum_payload`] writes it, with no tree in
+/// between.
+pub fn write_majorana_sum_payload(out: &mut String, h: &MajoranaSum) {
+    let _ = write!(out, "{{\"n_modes\":{},\"terms\":[", h.n_modes());
+    for (k, (idx, c)) in h.iter().enumerate() {
+        if k > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"re\":");
+        write_f64(out, c.re);
+        out.push_str(",\"im\":");
+        write_f64(out, c.im);
+        out.push_str(",\"idx\":[");
+        for (j, i) in idx.iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "{i}");
+        }
+        out.push_str("]}");
+    }
+    out.push_str("]}");
+}
+
+/// Reads a bare Hamiltonian payload in one pass, straight from the text
+/// under `r`: the [`MajoranaSum`] [`decode_majorana_sum_payload`] makes
+/// of the parsed tree, with no tree in between. As there, the first
+/// occurrence of each key counts and unknown members are ignored.
+///
+/// Terms that arrive canonical (indices strictly ascending within each
+/// term, supports strictly ascending from term to term, as
+/// [`write_majorana_sum_payload`] writes them) are stored in one bulk
+/// build. Any other term list is merged through [`MajoranaSum::add`] in
+/// order, exactly as the tree decoder merges it.
+///
+/// An error only means this reader does not take the payload, not why:
+/// [`decode_majorana_sum_payload`] gives the diagnostic.
+pub fn read_majorana_sum_payload(r: &mut Reader<'_>) -> Result<MajoranaSum, WireError> {
+    const CTX: &str = "majorana_sum payload";
+    let mut n_modes = None;
+    let mut terms: Option<Vec<(Vec<u32>, Complex64)>> = None;
+    // One past the largest index read, checked once n_modes is known.
+    let mut top = 0usize;
+    let mut canonical = true;
+    r.object(|r, key| {
+        match key {
+            "n_modes" if n_modes.is_none() => {
+                n_modes = Some(checked_modes(as_usize(&r.value()?, CTX)?, CTX)?);
+            }
+            "terms" if terms.is_none() => {
+                let mut list: Vec<(Vec<u32>, Complex64)> = Vec::new();
+                r.array(|r| {
+                    let (idx, c) = read_term(r, &mut top)?;
+                    canonical &= idx.windows(2).all(|w| w[0] < w[1])
+                        && list.last().is_none_or(|(prev, _)| *prev < idx);
+                    list.push((idx, c));
+                    Ok::<(), WireError>(())
+                })?;
+                terms = Some(list);
+            }
+            _ => drop(r.value()?),
+        }
+        Ok::<(), WireError>(())
+    })?;
+    let (Some(n), Some(terms)) = (n_modes, terms) else {
+        return Err(WireError::schema(CTX, "missing n_modes or terms"));
+    };
+    if top > 2 * n {
+        return Err(WireError::ModeMismatch {
+            context: "majorana_sum term index",
+            declared: n,
+            required: (top - 1) / 2 + 1,
+        });
+    }
+    if canonical {
+        return Ok(MajoranaSum::from_canonical_terms(n, terms));
+    }
+    let mut sum = MajoranaSum::new(n);
+    for (idx, c) in &terms {
+        sum.add(*c, idx);
+    }
+    Ok(sum)
+}
+
+/// One `{"re":…,"im":…,"idx":[…]}` term, raising `top` past its largest
+/// index. Indices are range-checked by the caller before any is used.
+fn read_term(r: &mut Reader<'_>, top: &mut usize) -> Result<(Vec<u32>, Complex64), WireError> {
+    const TCTX: &str = "majorana_sum term";
+    let (mut re, mut im, mut idx) = (None, None, None);
+    r.object(|r, key| {
+        match key {
+            "re" if re.is_none() => re = Some(as_f64(&r.value()?, TCTX)?),
+            "im" if im.is_none() => im = Some(as_f64(&r.value()?, TCTX)?),
+            "idx" if idx.is_none() => {
+                let mut indices = Vec::new();
+                r.array(|r| {
+                    let i = as_usize(&r.value()?, TCTX)?;
+                    *top = (*top).max(i.saturating_add(1));
+                    indices.push(i as u32);
+                    Ok::<(), WireError>(())
+                })?;
+                idx = Some(indices);
+            }
+            _ => drop(r.value()?),
+        }
+        Ok::<(), WireError>(())
+    })?;
+    match (re, im, idx) {
+        (Some(re), Some(im), Some(idx)) => Ok((idx, Complex64::new(re, im))),
+        _ => Err(WireError::schema(TCTX, "missing re, im or idx")),
+    }
 }
 
 /// Encodes a [`HamiltonianDelta`] as a `hatt-wire/1` envelope.

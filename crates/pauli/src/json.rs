@@ -9,6 +9,13 @@
 //! panic nor blow the stack. Strings are copied run by run, so parsing
 //! is linear in the input length.
 //!
+//! The same grammar doubles as a pull reader: [`Reader`] walks a
+//! document in one pass and hands each object member and array item to
+//! the caller, so a typed decoder (the service's request lines) fills
+//! its own structures from the bytes with no tree in between.
+//! [`write_str`] and [`write_f64`] are the renderer's string and float
+//! forms, for writers that skip the tree the same way.
+//!
 //! # Examples
 //!
 //! ```
@@ -23,6 +30,7 @@
 //! assert_eq!(Json::parse(&text).unwrap(), v);
 //! ```
 
+use std::borrow::Cow;
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -86,16 +94,9 @@ impl Json {
     /// Parses a JSON document. Exactly one top-level value is accepted;
     /// trailing non-whitespace input is an error.
     pub fn parse(text: &str) -> Result<Json, JsonParseError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value(0)?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after the JSON value"));
-        }
+        let mut r = Reader::new(text);
+        let v = r.value()?;
+        r.finish()?;
         Ok(v)
     }
 
@@ -105,17 +106,11 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(x) => {
-                if x.is_finite() {
-                    let _ = write!(out, "{x}");
-                } else {
-                    out.push_str("null");
-                }
-            }
+            Json::Num(x) => write_f64(out, *x),
             Json::Int(v) => {
                 let _ = write!(out, "{v}");
             }
-            Json::Str(s) => write_escaped(out, s),
+            Json::Str(s) => write_str(out, s),
             Json::Arr(items) => {
                 write_seq(out, depth, '[', ']', items.len(), |out, i, d| {
                     items[i].write(out, d);
@@ -123,7 +118,7 @@ impl Json {
             }
             Json::Obj(pairs) => {
                 write_seq(out, depth, '{', '}', pairs.len(), |out, i, d| {
-                    write_escaped(out, &pairs[i].0);
+                    write_str(out, &pairs[i].0);
                     out.push(':');
                     if depth > 0 {
                         out.push(' ');
@@ -153,12 +148,171 @@ impl fmt::Display for JsonParseError {
 
 impl std::error::Error for JsonParseError {}
 
-struct Parser<'a> {
+/// The JSON grammar, usable two ways. [`Json::parse`] builds a value
+/// tree with it; used directly it is a pull reader that walks one
+/// document in a single pass, handing each object member and array item
+/// to the caller as it is reached, so a typed decoder can fill its own
+/// structures straight from the bytes with no [`Json`] tree in between.
+///
+/// Both uses run the same code: [`Reader::value`] is the tree parser and
+/// builds its containers through [`Reader::object`] and
+/// [`Reader::array`]. A pull reader therefore accepts exactly the
+/// documents [`Json::parse`] accepts, up to the same nesting depth, and
+/// reads every scalar as the tree would hold it.
+///
+/// # Examples
+///
+/// ```
+/// use hatt_pauli::json::{Json, JsonParseError, Reader};
+///
+/// // Sum the "w" members of an array of objects without building a tree.
+/// let mut r = Reader::new(r#"[{"w": 2, "tag": "a"}, {"tag": "b", "w": 3}]"#);
+/// let mut total = 0;
+/// r.array(|r| {
+///     r.object(|r, key| {
+///         match (key, r.value()?) {
+///             ("w", Json::Int(w)) => total += w,
+///             _ => {} // any other member is parsed and dropped
+///         }
+///         Ok::<(), JsonParseError>(())
+///     })
+/// })?;
+/// r.finish()?;
+/// assert_eq!(total, 5);
+/// # Ok::<(), JsonParseError>(())
+/// ```
+#[derive(Debug)]
+pub struct Reader<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Nesting depth of the value at `pos` (the document root is 0).
+    depth: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Reader<'a> {
+    /// A reader positioned at the document's value (leading whitespace
+    /// skipped).
+    pub fn new(text: &'a str) -> Self {
+        let mut r = Reader {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+        };
+        r.skip_ws();
+        r
+    }
+
+    /// Checks that nothing but whitespace follows the value read.
+    pub fn finish(mut self) -> Result<(), JsonParseError> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing characters after the JSON value"));
+        }
+        Ok(())
+    }
+
+    /// Parses the next value, of any type, into a tree. A scalar costs no
+    /// allocation beyond a string's own. A caller skips a member it does
+    /// not want by parsing it and dropping the result.
+    pub fn value(&mut self) -> Result<Json, JsonParseError> {
+        self.check_depth()?;
+        match self.peek() {
+            None => Err(self.err("unexpected end of input")),
+            Some(b'n') => self.eat("null", "null").map(|()| Json::Null),
+            Some(b't') => self.eat("true", "true").map(|()| Json::Bool(true)),
+            Some(b'f') => self.eat("false", "false").map(|()| Json::Bool(false)),
+            Some(b'"') => self.string().map(Json::Str),
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.array(|r| {
+                    items.push(r.value()?);
+                    Ok::<(), JsonParseError>(())
+                })?;
+                Ok(Json::Arr(items))
+            }
+            Some(b'{') => {
+                let mut pairs = Vec::new();
+                self.object(|r, key| {
+                    pairs.push((key.to_owned(), r.value()?));
+                    Ok::<(), JsonParseError>(())
+                })?;
+                Ok(Json::Obj(pairs))
+            }
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
+            Some(c) => Err(self.err(format!("unexpected character {:?}", c as char))),
+        }
+    }
+
+    /// Reads an object, calling `member` with each key, in document order
+    /// and duplicates included, while the reader sits at that member's
+    /// value. `member` must consume the value: read it, or skip it with
+    /// [`Reader::value`].
+    pub fn object<E: From<JsonParseError>>(
+        &mut self,
+        mut member: impl FnMut(&mut Self, &str) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.open(b'{', "expected an object")?;
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            self.depth -= 1;
+            return Ok(());
+        }
+        loop {
+            self.skip_ws();
+            if self.peek() != Some(b'"') {
+                return Err(self.err("expected a string object key").into());
+            }
+            let key = self.key()?;
+            self.skip_ws();
+            if self.peek() != Some(b':') {
+                return Err(self.err("expected ':' after object key").into());
+            }
+            self.pos += 1;
+            self.skip_ws();
+            member(self, &key)?;
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    self.depth -= 1;
+                    return Ok(());
+                }
+                _ => return Err(self.err("expected ',' or '}' in object").into()),
+            }
+        }
+    }
+
+    /// Reads an array, calling `item` once per element while the reader
+    /// sits at it. `item` must consume the element.
+    pub fn array<E: From<JsonParseError>>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.open(b'[', "expected an array")?;
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            self.depth -= 1;
+            return Ok(());
+        }
+        loop {
+            self.skip_ws();
+            item(self)?;
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    self.depth -= 1;
+                    return Ok(());
+                }
+                _ => return Err(self.err("expected ',' or ']' in array").into()),
+            }
+        }
+    }
+
     fn err(&self, message: impl Into<String>) -> JsonParseError {
         JsonParseError {
             offset: self.pos,
@@ -185,78 +339,40 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<Json, JsonParseError> {
-        if depth > MAX_DEPTH {
+    fn check_depth(&self) -> Result<(), JsonParseError> {
+        if self.depth > MAX_DEPTH {
             return Err(self.err(format!("nesting deeper than {MAX_DEPTH}")));
         }
-        match self.peek() {
-            None => Err(self.err("unexpected end of input")),
-            Some(b'n') => self.eat("null", "null").map(|()| Json::Null),
-            Some(b't') => self.eat("true", "true").map(|()| Json::Bool(true)),
-            Some(b'f') => self.eat("false", "false").map(|()| Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(depth),
-            Some(b'{') => self.object(depth),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            Some(c) => Err(self.err(format!("unexpected character {:?}", c as char))),
-        }
+        Ok(())
     }
 
-    fn array(&mut self, depth: usize) -> Result<Json, JsonParseError> {
-        self.pos += 1; // consume '['
-        let mut items = Vec::new();
+    /// Enters a container: consumes its opening bracket and the
+    /// whitespace after it; its members sit one level deeper.
+    fn open(&mut self, bracket: u8, expected: &str) -> Result<(), JsonParseError> {
+        self.check_depth()?;
+        if self.peek() != Some(bracket) {
+            return Err(self.err(expected));
+        }
+        self.pos += 1;
+        self.depth += 1;
         self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
-        }
+        Ok(())
     }
 
-    fn object(&mut self, depth: usize) -> Result<Json, JsonParseError> {
-        self.pos += 1; // consume '{'
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            if self.peek() != Some(b'"') {
-                return Err(self.err("expected a string object key"));
-            }
-            let key = self.string()?;
-            self.skip_ws();
-            if self.peek() != Some(b':') {
-                return Err(self.err("expected ':' after object key"));
-            }
-            self.pos += 1;
-            self.skip_ws();
-            let value = self.value(depth + 1)?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                _ => return Err(self.err("expected ',' or '}' in object")),
+    /// An object key: borrowed from the input when it holds no escape or
+    /// control byte, otherwise decoded (or rejected) by the string rule.
+    fn key(&mut self) -> Result<Cow<'a, str>, JsonParseError> {
+        let start = self.pos + 1;
+        let run = self.bytes[start..]
+            .iter()
+            .position(|&c| c == b'"' || c == b'\\' || c < 0x20);
+        if let Some(len) = run.filter(|&len| self.bytes[start + len] == b'"') {
+            if let Some(key) = self.text.get(start..start + len) {
+                self.pos = start + len + 1;
+                return Ok(Cow::Borrowed(key));
             }
         }
+        self.string().map(Cow::Owned)
     }
 
     fn string(&mut self) -> Result<String, JsonParseError> {
@@ -398,7 +514,9 @@ fn write_seq(
     out.push(close);
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+/// Appends `s` as a JSON string, escaped exactly as [`Json::render`]
+/// escapes a [`Json::Str`].
+pub fn write_str(out: &mut String, s: &str) {
     out.push('"');
     for ch in s.chars() {
         match ch {
@@ -414,6 +532,16 @@ fn write_escaped(out: &mut String, s: &str) {
         }
     }
     out.push('"');
+}
+
+/// Appends `x` exactly as [`Json::render`] renders a [`Json::Num`]:
+/// Rust's shortest round-trip form, or `null` when `x` is not finite.
+pub fn write_f64(out: &mut String, x: f64) {
+    if x.is_finite() {
+        let _ = write!(out, "{x}");
+    } else {
+        out.push_str("null");
+    }
 }
 
 #[cfg(test)]

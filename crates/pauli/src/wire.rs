@@ -33,7 +33,7 @@
 
 use std::fmt;
 
-use crate::json::{Json, JsonParseError};
+use crate::json::{write_str, Json, JsonParseError, Reader};
 use crate::{Complex64, PauliString, PauliSum};
 
 /// The wire-format version tag every envelope carries.
@@ -183,6 +183,59 @@ pub fn open_envelope<'a>(v: &'a Json, kind: &'static str) -> Result<&'a Json, Wi
         });
     }
     get(obj, "payload").ok_or(WireError::Schema {
+        context: "envelope",
+        message: "missing payload".into(),
+    })
+}
+
+/// Appends an envelope's head, `{"format":"hatt-wire/1","kind":"<kind>","payload":`,
+/// byte for byte as rendering [`envelope`] writes it. The caller appends
+/// the payload and the closing `}`.
+pub fn write_envelope_head(out: &mut String, kind: &str) {
+    out.push_str("{\"format\":");
+    write_str(out, WIRE_FORMAT);
+    out.push_str(",\"kind\":");
+    write_str(out, kind);
+    out.push_str(",\"payload\":");
+}
+
+/// Reads an envelope in one pass, with no [`Json`] tree: `payload` is
+/// called with the envelope's kind while `r` sits at the payload, and
+/// reads it. The first occurrence of each key counts, as in
+/// [`open_envelope`]; other members are parsed and ignored.
+///
+/// An error only means this reader does not take the document, not why.
+/// It declines a document whose format or kind comes after its payload,
+/// which [`open_envelope`] accepts. A caller falls back to
+/// [`open_envelope`] on the parsed tree, which also gives the diagnostic.
+pub fn read_envelope<'a, T>(
+    r: &mut Reader<'a>,
+    payload: impl FnOnce(&mut Reader<'a>, &str) -> Result<T, WireError>,
+) -> Result<T, WireError> {
+    let mut format = None;
+    let mut kind = None;
+    let mut payload = Some(payload);
+    let mut out = None;
+    r.object(|r, key| {
+        match key {
+            "format" if format.is_none() => format = Some(r.value()?),
+            "kind" if kind.is_none() => kind = Some(r.value()?),
+            "payload" if out.is_none() => match (&format, &kind, payload.take()) {
+                (Some(Json::Str(f)), Some(Json::Str(k)), Some(read)) if f == WIRE_FORMAT => {
+                    out = Some(read(r, k)?);
+                }
+                _ => {
+                    return Err(WireError::schema(
+                        "envelope",
+                        "the format and kind must precede the payload",
+                    ))
+                }
+            },
+            _ => drop(r.value()?),
+        }
+        Ok(())
+    })?;
+    out.ok_or(WireError::Schema {
         context: "envelope",
         message: "missing payload".into(),
     })

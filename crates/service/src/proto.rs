@@ -18,6 +18,18 @@
 //! item to that size (mismatching items fail individually with
 //! `mode_mismatch`, the rest of the batch still maps).
 //!
+//! Request lines are decoded in one pass. [`MapRequest::from_line`],
+//! [`MapDeltaRequest::from_line`] and [`RequestLine::from_line`] read a
+//! `map_request` or `map_delta` line straight into the request, and each
+//! Hamiltonian's terms straight into its `MajoranaSum`, with no [`Json`]
+//! tree; `to_line` writes straight into the output string. A line the
+//! one-pass reader does not take goes to the tree decoder
+//! (`decode(&Json::parse(line)?)`) unchanged: a malformed line, another
+//! kind, or a format or kind placed after the payload. The tree decoder
+//! stays the reference. It alone produces error messages, and the
+//! differential tests in `tests/wire_props.rs` hold the one-pass reader
+//! to it. Reply lines, `stats` and `trace_dump` stay on the tree.
+//!
 //! ## Response lines
 //!
 //! One `map_item` line per Hamiltonian **as it completes** (so a slow
@@ -44,14 +56,14 @@ use hatt_core::StoreTierStats;
 use hatt_core::{HattError, HattMapping, HattOptions, Variant};
 use hatt_fermion::wire::{
     decode_hamiltonian_delta_payload, decode_majorana_sum_payload, hamiltonian_delta_payload,
-    majorana_sum_payload,
+    majorana_sum_payload, read_majorana_sum_payload, write_majorana_sum_payload,
 };
 use hatt_fermion::{HamiltonianDelta, MajoranaSum};
 use hatt_mappings::{FermionMapping, SelectionPolicy};
-use hatt_pauli::json::Json;
+use hatt_pauli::json::{write_str, Json, Reader};
 use hatt_pauli::wire::{
     as_arr, as_bool, as_obj, as_str, as_u64, as_usize, envelope, field, get, open_envelope,
-    WireError,
+    read_envelope, write_envelope_head, WireError,
 };
 use hatt_trace::{SpanRecord, TraceCtx};
 
@@ -185,14 +197,38 @@ impl MapRequest {
         })
     }
 
-    /// Renders the request as one JSON line (no trailing newline).
+    /// Renders the request as one JSON line (no trailing newline),
+    /// writing straight into the output: the bytes of
+    /// `self.encode().render()` with no tree in between.
     pub fn to_line(&self) -> String {
-        self.encode().render()
+        let mut out = String::new();
+        write_envelope_head(&mut out, KIND_REQUEST);
+        write_head(&mut out, &self.id, self.options.as_ref());
+        if let Some(n) = self.n_modes {
+            push_member(&mut out, "n_modes", &Json::int(n as u64));
+        }
+        if let Some(ctx) = self.trace {
+            push_member(&mut out, "trace_ctx", &encode_trace_ctx(ctx));
+        }
+        out.push_str(",\"hamiltonians\":[");
+        for (i, h) in self.hamiltonians.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_majorana_sum_payload(&mut out, h);
+        }
+        out.push_str("]}}");
+        out
     }
 
-    /// Parses a request line.
+    /// Parses a request line: in one pass when [`RequestLine::read_line`]
+    /// takes it, otherwise through the tree ([`MapRequest::decode`]),
+    /// which also produces every error.
     pub fn from_line(line: &str) -> Result<Self, WireError> {
-        Self::decode(&Json::parse(line)?)
+        match RequestLine::read_line(line) {
+            Ok(RequestLine::Map(req)) => Ok(req),
+            _ => Self::decode(&Json::parse(line)?),
+        }
     }
 }
 
@@ -287,14 +323,135 @@ impl MapDeltaRequest {
         })
     }
 
-    /// Renders the request as one JSON line (no trailing newline).
+    /// Renders the request as one JSON line (no trailing newline),
+    /// writing straight into the output: the bytes of
+    /// `self.encode().render()`.
     pub fn to_line(&self) -> String {
-        self.encode().render()
+        let mut out = String::new();
+        write_envelope_head(&mut out, KIND_DELTA_REQUEST);
+        write_head(&mut out, &self.id, self.options.as_ref());
+        if let Some(ctx) = self.trace {
+            push_member(&mut out, "trace_ctx", &encode_trace_ctx(ctx));
+        }
+        out.push_str(",\"hamiltonian\":");
+        write_majorana_sum_payload(&mut out, &self.hamiltonian);
+        push_member(&mut out, "delta", &hamiltonian_delta_payload(&self.delta));
+        out.push_str("}}");
+        out
     }
 
-    /// Parses a remap-request line.
+    /// Parses a remap-request line: in one pass when
+    /// [`RequestLine::read_line`] takes it, otherwise through the tree
+    /// ([`MapDeltaRequest::decode`]), which also produces every error.
     pub fn from_line(line: &str) -> Result<Self, WireError> {
-        Self::decode(&Json::parse(line)?)
+        match RequestLine::read_line(line) {
+            Ok(RequestLine::Delta(req)) => Ok(req),
+            _ => Self::decode(&Json::parse(line)?),
+        }
+    }
+}
+
+/// Appends a request payload's opening: `{"id":…` and the options when
+/// set. The optional members stay small, so they render through their
+/// trees.
+fn write_head(out: &mut String, id: &str, options: Option<&HattOptions>) {
+    out.push_str("{\"id\":");
+    write_str(out, id);
+    if let Some(options) = options {
+        push_member(out, "options", &encode_options(options));
+    }
+}
+
+/// Appends `,"key":value`.
+fn push_member(out: &mut String, key: &str, value: &Json) {
+    out.push(',');
+    write_str(out, key);
+    out.push(':');
+    out.push_str(&value.render());
+}
+
+/// A member the tree decoders read as absent when it is `null`.
+fn nullable<T>(
+    v: Json,
+    decode: impl FnOnce(&Json) -> Result<T, WireError>,
+) -> Result<Option<T>, WireError> {
+    match v {
+        Json::Null => Ok(None),
+        v => decode(&v).map(Some),
+    }
+}
+
+/// The one-pass `map_request` payload reader: [`MapRequest::decode`]'s
+/// rules, member by member. Each member counts at its first occurrence
+/// (a later duplicate is parsed and ignored, as [`get`] ignores it), and
+/// the small `options` and `trace_ctx` values go through their tree
+/// decoders.
+fn read_map_payload(r: &mut Reader<'_>) -> Result<MapRequest, WireError> {
+    const CTX: &str = "map_request payload";
+    let (mut id, mut options, mut n_modes, mut trace, mut hamiltonians) =
+        (None, None, None, None, None);
+    r.object(|r, key| {
+        match key {
+            "id" if id.is_none() => id = Some(as_str(&r.value()?, CTX)?.to_string()),
+            "options" if options.is_none() => options = Some(nullable(r.value()?, decode_options)?),
+            "n_modes" if n_modes.is_none() => {
+                n_modes = Some(nullable(r.value()?, |v| as_usize(v, CTX))?);
+            }
+            "trace_ctx" if trace.is_none() => trace = Some(nullable(r.value()?, decode_trace_ctx)?),
+            "hamiltonians" if hamiltonians.is_none() => {
+                let mut hams = Vec::new();
+                r.array(|r| {
+                    hams.push(read_majorana_sum_payload(r)?);
+                    Ok::<(), WireError>(())
+                })?;
+                hamiltonians = Some(hams);
+            }
+            _ => drop(r.value()?),
+        }
+        Ok::<(), WireError>(())
+    })?;
+    match (id, hamiltonians) {
+        (Some(id), Some(hamiltonians)) => Ok(MapRequest {
+            id,
+            options: options.flatten(),
+            n_modes: n_modes.flatten(),
+            trace: trace.flatten(),
+            hamiltonians,
+        }),
+        _ => Err(WireError::schema(CTX, "missing id or hamiltonians")),
+    }
+}
+
+/// The one-pass `map_delta` payload reader, by the rules of
+/// [`read_map_payload`].
+fn read_delta_payload(r: &mut Reader<'_>) -> Result<MapDeltaRequest, WireError> {
+    const CTX: &str = "map_delta payload";
+    let (mut id, mut options, mut trace, mut hamiltonian, mut delta) =
+        (None, None, None, None, None);
+    r.object(|r, key| {
+        match key {
+            "id" if id.is_none() => id = Some(as_str(&r.value()?, CTX)?.to_string()),
+            "options" if options.is_none() => options = Some(nullable(r.value()?, decode_options)?),
+            "trace_ctx" if trace.is_none() => trace = Some(nullable(r.value()?, decode_trace_ctx)?),
+            "hamiltonian" if hamiltonian.is_none() => {
+                hamiltonian = Some(read_majorana_sum_payload(r)?);
+            }
+            "delta" if delta.is_none() => {
+                delta = Some(decode_hamiltonian_delta_payload(&r.value()?)?);
+            }
+            _ => drop(r.value()?),
+        }
+        Ok::<(), WireError>(())
+    })?;
+    match (id, hamiltonian, delta) {
+        (Some(id), Some(hamiltonian), Some(delta)) => Ok(MapDeltaRequest {
+            id,
+            options: options.flatten(),
+            trace: trace.flatten(),
+            hamiltonian,
+            delta,
+        }),
+        _ => Err(WireError::schema(CTX, "missing id, hamiltonian or delta")),
     }
 }
 
@@ -1203,10 +1360,34 @@ pub enum RequestLine {
 }
 
 impl RequestLine {
-    /// Parses one request line, dispatching on the envelope kind.
+    /// Parses one request line, dispatching on the envelope kind: a
+    /// `map_request` or `map_delta` line in one pass when
+    /// [`RequestLine::read_line`] takes it, any other line through the
+    /// tree ([`RequestLine::decode`]), which also produces every error.
     pub fn from_line(line: &str) -> Result<Self, WireError> {
-        let v = Json::parse(line)?;
-        let pairs = as_obj(&v, "request envelope")?;
+        Self::read_line(line).or_else(|_| Self::decode(&Json::parse(line)?))
+    }
+
+    /// The one-pass reader behind every request `from_line`: decodes a
+    /// `map_request` or `map_delta` line straight into the request, with
+    /// no [`Json`] tree (see [`read_envelope`]). It takes every line
+    /// [`MapRequest::to_line`] and [`MapDeltaRequest::to_line`] write, and
+    /// returns what [`RequestLine::decode`] would. An error only means it
+    /// does not take the line, not why.
+    pub fn read_line(line: &str) -> Result<Self, WireError> {
+        let mut r = Reader::new(line);
+        let req = read_envelope(&mut r, |r, kind| match kind {
+            KIND_REQUEST => read_map_payload(r).map(RequestLine::Map),
+            KIND_DELTA_REQUEST => read_delta_payload(r).map(RequestLine::Delta),
+            _ => Err(WireError::schema("request line", "not read in one pass")),
+        })?;
+        r.finish()?;
+        Ok(req)
+    }
+
+    /// Decodes a parsed request line, dispatching on the envelope kind.
+    pub fn decode(v: &Json) -> Result<Self, WireError> {
+        let pairs = as_obj(v, "request envelope")?;
         let kind = get(pairs, "kind")
             .and_then(|k| match k {
                 Json::Str(s) => Some(s.as_str()),
@@ -1214,13 +1395,13 @@ impl RequestLine {
             })
             .unwrap_or_default();
         match kind {
-            KIND_STATS_REQUEST => Ok(RequestLine::Stats(StatsRequest::decode(&v)?)),
-            KIND_TRACE_DUMP_REQUEST => Ok(RequestLine::TraceDump(TraceDumpRequest::decode(&v)?)),
-            KIND_DELTA_REQUEST => Ok(RequestLine::Delta(MapDeltaRequest::decode(&v)?)),
+            KIND_STATS_REQUEST => Ok(RequestLine::Stats(StatsRequest::decode(v)?)),
+            KIND_TRACE_DUMP_REQUEST => Ok(RequestLine::TraceDump(TraceDumpRequest::decode(v)?)),
+            KIND_DELTA_REQUEST => Ok(RequestLine::Delta(MapDeltaRequest::decode(v)?)),
             // Anything else goes through the map-request decoder so the
             // error message names the expected kind (and legacy clients
             // that only speak map_request keep their exact errors).
-            _ => Ok(RequestLine::Map(MapRequest::decode(&v)?)),
+            _ => Ok(RequestLine::Map(MapRequest::decode(v)?)),
         }
     }
 }

@@ -82,17 +82,19 @@ pub(crate) trait Backend: Send + Sync + 'static {
     /// Starts serving a batch request; one [`MapItem`] per item will
     /// arrive through `sink`. Returns how many items to await. `trace`
     /// is the request's context parented on its root span; the backend
-    /// nests its own spans (queue wait, forward hop, …) beneath it.
+    /// nests its own spans (queue wait, forward hop, …) beneath it. The
+    /// backend owns the request: its Hamiltonians move into the queued
+    /// work, never copied.
     fn submit_map(
         &self,
-        req: &MapRequest,
+        req: MapRequest,
         sink: &ConnSink,
         trace: Option<TraceCtx>,
     ) -> Result<usize, ServiceError>;
     /// Starts serving an incremental remap (same contract).
     fn submit_delta(
         &self,
-        req: &MapDeltaRequest,
+        req: MapDeltaRequest,
         sink: &ConnSink,
         trace: Option<TraceCtx>,
     ) -> Result<usize, ServiceError>;
@@ -192,6 +194,11 @@ pub(crate) enum Scanned {
     /// A line that exceeded the cap; its bytes were discarded as they
     /// streamed in, never buffered.
     Oversize,
+    /// A complete line that is not UTF-8, which JSON exchanged between
+    /// systems must be (RFC 8259 §8.1): the message it is refused with.
+    /// Decoding it lossily would rewrite it, its id included, and serve
+    /// a request the client never sent.
+    NotUtf8(String),
 }
 
 /// The bounded incremental line scanner: feed it arbitrary chunks, get
@@ -230,9 +237,10 @@ impl LineScanner {
             if self.buf.last() == Some(&b'\r') {
                 self.buf.pop();
             }
-            out.push(Scanned::Line(
-                String::from_utf8_lossy(&self.buf).into_owned(),
-            ));
+            out.push(match std::str::from_utf8(&self.buf) {
+                Ok(line) => Scanned::Line(line.to_owned()),
+                Err(e) => Scanned::NotUtf8(format!("request line is not UTF-8: {e}")),
+            });
             self.buf.clear();
         }
         if !self.discarding {
@@ -648,6 +656,9 @@ fn do_read(conn: &mut Conn, metrics: &Metrics, tracer: &Tracer, scanned: &mut Ve
                             metrics.oversize_lines.fetch_add(1, Ordering::Relaxed);
                             conn.pending.push_back(Pending::Oversize);
                         }
+                        Scanned::NotUtf8(message) => {
+                            conn.pending.push_back(Pending::Invalid(message));
+                        }
                         Scanned::Line(line) => {
                             if line.trim().is_empty() {
                                 continue;
@@ -771,13 +782,15 @@ fn serve_pending(
                 }
                 RequestLine::Map(req) => {
                     let trace = observe_queue_wait(tracer, trace);
-                    let submitted = backend.submit_map(&req, &conn.sink, trace.map(|t| t.ctx()));
-                    start_response(conn, req.id, &metrics.verb_map, submitted, trace, tracer);
+                    let id = req.id.clone();
+                    let submitted = backend.submit_map(req, &conn.sink, trace.map(|t| t.ctx()));
+                    start_response(conn, id, &metrics.verb_map, submitted, trace, tracer);
                 }
                 RequestLine::Delta(req) => {
                     let trace = observe_queue_wait(tracer, trace);
-                    let submitted = backend.submit_delta(&req, &conn.sink, trace.map(|t| t.ctx()));
-                    start_response(conn, req.id, &metrics.verb_delta, submitted, trace, tracer);
+                    let id = req.id.clone();
+                    let submitted = backend.submit_delta(req, &conn.sink, trace.map(|t| t.ctx()));
+                    start_response(conn, id, &metrics.verb_delta, submitted, trace, tracer);
                 }
             },
         }

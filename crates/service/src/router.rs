@@ -39,6 +39,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use hatt_core::structure_key;
+use hatt_fermion::MajoranaSum;
 use hatt_store::fnv1a64;
 use hatt_trace::{now_ns, TraceCtx, Tracer};
 
@@ -279,17 +280,17 @@ impl RouterBackend {
         })
     }
 
-    /// Sheds one shard slice: every affected client index gets a typed
-    /// `overloaded` item immediately.
-    fn shed(&self, shard: &Shard, id: &str, indices: &[usize], sink: &ConnSink) {
+    /// Sheds a job the shard's queue refused: every client index it
+    /// carries gets a typed `overloaded` item immediately.
+    fn shed(&self, shard: &Shard, job: &ShardJob) {
         shard
             .counters
             .shed
-            .fetch_add(indices.len() as u64, Ordering::Relaxed);
+            .fetch_add(job.item_count() as u64, Ordering::Relaxed);
         let e = ServiceError::Overloaded;
-        for &index in indices {
-            sink.send(MapItem {
-                id: id.to_string(),
+        for index in (0..job.item_count()).filter_map(|i| job.orig_index(i)) {
+            job.sink.send(MapItem {
+                id: job.id().to_string(),
                 index: Some(index),
                 payload: ItemPayload::Err(ItemError {
                     code: e.code().to_string(),
@@ -311,22 +312,26 @@ impl Backend for RouterBackend {
 
     fn submit_map(
         &self,
-        req: &MapRequest,
+        req: MapRequest,
         sink: &ConnSink,
         trace: Option<TraceCtx>,
     ) -> Result<usize, ServiceError> {
         self.metrics.requests.fetch_add(1, Ordering::Relaxed);
-        // Group client indices by owning shard, preserving order.
+        let items = req.hamiltonians.len();
+        // Move each item into its owning shard's slice, preserving order.
         let hash_start = trace.map(|_| now_ns()).unwrap_or_default();
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (index, h) in req.hamiltonians.iter().enumerate() {
-            groups[self.ring.owner(structure_key(h))].push(index);
+        let mut slices: Vec<(Vec<usize>, Vec<MajoranaSum>)> =
+            (0..self.shards.len()).map(|_| Default::default()).collect();
+        for (index, h) in req.hamiltonians.into_iter().enumerate() {
+            let slice = &mut slices[self.ring.owner(structure_key(&h))];
+            slice.0.push(index);
+            slice.1.push(h);
         }
         if let Some(ctx) = trace {
             self.tracer
                 .record_span(ctx, "route.hash", hash_start, now_ns());
         }
-        for (shard, orig) in self.shards.iter().zip(&groups) {
+        for (shard, (orig, hamiltonians)) in self.shards.iter().zip(slices) {
             if orig.is_empty() {
                 continue;
             }
@@ -334,27 +339,24 @@ impl Backend for RouterBackend {
                 id: req.id.clone(),
                 options: req.options,
                 n_modes: req.n_modes,
-                hamiltonians: orig.iter().map(|&i| req.hamiltonians[i].clone()).collect(),
+                hamiltonians,
                 trace: None,
             };
             let job = ShardJob {
-                payload: ShardPayload::Map {
-                    sub,
-                    orig: orig.clone(),
-                },
+                payload: ShardPayload::Map { sub, orig },
                 sink: sink.clone(),
                 trace,
             };
             if let Err(job) = shard.queue.try_push(job) {
-                self.shed(shard, &req.id, orig, &job.sink);
+                self.shed(shard, &job);
             }
         }
-        Ok(req.hamiltonians.len())
+        Ok(items)
     }
 
     fn submit_delta(
         &self,
-        req: &MapDeltaRequest,
+        mut req: MapDeltaRequest,
         sink: &ConnSink,
         trace: Option<TraceCtx>,
     ) -> Result<usize, ServiceError> {
@@ -368,15 +370,14 @@ impl Backend for RouterBackend {
             self.tracer
                 .record_span(ctx, "route.hash", hash_start, now_ns());
         }
-        let mut sub = req.clone();
-        sub.trace = None;
+        req.trace = None;
         let job = ShardJob {
-            payload: ShardPayload::Delta(sub),
+            payload: ShardPayload::Delta(req),
             sink: sink.clone(),
             trace,
         };
         if let Err(job) = shard.queue.try_push(job) {
-            self.shed(shard, &req.id, &[0], &job.sink);
+            self.shed(shard, &job);
         }
         Ok(1)
     }
@@ -593,7 +594,6 @@ fn forward_once(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hatt_fermion::MajoranaSum;
 
     fn labels(n: usize) -> Vec<String> {
         (0..n).map(|i| format!("127.0.0.1:{}", 9000 + i)).collect()

@@ -304,17 +304,17 @@ impl Backend for Scheduler {
 
     fn submit_map(
         &self,
-        req: &MapRequest,
+        req: MapRequest,
         sink: &ConnSink,
         trace: Option<TraceCtx>,
     ) -> Result<usize, ServiceError> {
         let work = req
             .hamiltonians
-            .iter()
+            .into_iter()
             .enumerate()
             .map(|(index, h)| Work::Map {
                 index,
-                h: h.clone(),
+                h,
                 expected_modes: req.n_modes,
             })
             .collect();
@@ -325,13 +325,13 @@ impl Backend for Scheduler {
     /// reactor worker stays free while it builds.
     fn submit_delta(
         &self,
-        req: &MapDeltaRequest,
+        req: MapDeltaRequest,
         sink: &ConnSink,
         trace: Option<TraceCtx>,
     ) -> Result<usize, ServiceError> {
         let work = vec![Work::Remap {
-            hamiltonian: req.hamiltonian.clone(),
-            delta: req.delta.clone(),
+            hamiltonian: req.hamiltonian,
+            delta: req.delta,
         }];
         self.enqueue(&req.id, req.options, work, sink, trace)
     }
@@ -550,7 +550,7 @@ mod tests {
         let sink = ConnSink::new(&worker);
         let hams: Vec<MajoranaSum> = (2..6).map(MajoranaSum::uniform_singles).collect();
         let expected = scheduler
-            .submit_map(&MapRequest::new("r", hams.clone()), &sink, None)
+            .submit_map(MapRequest::new("r", hams.clone()), &sink, None)
             .unwrap();
         assert_eq!(expected, hams.len());
         let items = collect(&completions, &sink, hams.len());
@@ -576,7 +576,7 @@ mod tests {
             ],
         );
         pinned.n_modes = Some(3);
-        scheduler.submit_map(&pinned, &sink, None).unwrap();
+        scheduler.submit_map(pinned, &sink, None).unwrap();
         let items = collect(&completions, &sink, 3);
         assert!(items[0].is_ok());
         assert_eq!(items[1].error().unwrap().code, "mode_mismatch");
@@ -586,7 +586,7 @@ mod tests {
             "r2",
             vec![MajoranaSum::new(0), MajoranaSum::uniform_singles(2)],
         );
-        scheduler.submit_map(&unpinned, &sink, None).unwrap();
+        scheduler.submit_map(unpinned, &sink, None).unwrap();
         let items = collect(&completions, &sink, 2);
         assert_eq!(items[0].error().unwrap().code, "empty_hamiltonian");
         assert!(items[1].is_ok());
@@ -601,10 +601,10 @@ mod tests {
         h.add(Complex64::ONE, &[0, 1]);
         h.add(Complex64::ONE, &[2, 3]);
         let a = MapRequest::new("a", vec![h.clone()]);
-        scheduler.submit_map(&a, &sink, None).unwrap();
+        scheduler.submit_map(a, &sink, None).unwrap();
         let _ = collect(&completions, &sink, 1);
         let b = MapRequest::new("b", vec![h.scaled(2.0)]);
-        scheduler.submit_map(&b, &sink, None).unwrap();
+        scheduler.submit_map(b, &sink, None).unwrap();
         let _ = collect(&completions, &sink, 1);
         assert_eq!(
             scheduler.shared.mapper.cache().hits(),
@@ -671,7 +671,7 @@ mod tests {
             "big",
             (0..64).map(|_| MajoranaSum::uniform_singles(2)).collect(),
         );
-        match scheduler.submit_map(&big, &ConnSink::new(&worker), None) {
+        match scheduler.submit_map(big, &ConnSink::new(&worker), None) {
             Err(ServiceError::Overloaded) => {}
             other => panic!("expected Overloaded, got {other:?}"),
         }
@@ -685,12 +685,12 @@ mod tests {
         let gone = ConnSink::new(&worker);
         gone.cancel();
         let dead = MapRequest::new("gone", (4..10).map(MajoranaSum::uniform_singles).collect());
-        assert_eq!(scheduler.submit_map(&dead, &gone, None).unwrap(), 6);
+        assert_eq!(scheduler.submit_map(dead, &gone, None).unwrap(), 6);
         // A live request queued behind the dead one still maps in full.
         let live = ConnSink::new(&worker);
         let hams: Vec<MajoranaSum> = (2..4).map(MajoranaSum::uniform_singles).collect();
         let req = MapRequest::new("live", hams);
-        assert_eq!(scheduler.submit_map(&req, &live, None).unwrap(), 2);
+        assert_eq!(scheduler.submit_map(req, &live, None).unwrap(), 2);
         let items = collect(&completions, &live, 2);
         assert!(items.iter().all(MapItem::is_ok), "{items:?}");
         // After the drain every dead item has been dispatched: each was
@@ -712,7 +712,7 @@ mod tests {
         let sink = ConnSink::new(&worker);
         let hams: Vec<MajoranaSum> = (2..10).map(MajoranaSum::uniform_singles).collect();
         let req = MapRequest::new("r", hams);
-        assert_eq!(scheduler.submit_map(&req, &sink, None).unwrap(), 8);
+        assert_eq!(scheduler.submit_map(req, &sink, None).unwrap(), 8);
         scheduler.drain();
         let mut indices: Vec<Option<usize>> = completions
             .try_iter()
@@ -724,7 +724,7 @@ mod tests {
         indices.sort_unstable();
         assert_eq!(indices, (0..8).map(Some).collect::<Vec<_>>());
         let late = MapRequest::new("late", vec![MajoranaSum::uniform_singles(2)]);
-        match scheduler.submit_map(&late, &sink, None) {
+        match scheduler.submit_map(late, &sink, None) {
             Err(ServiceError::ShuttingDown) => {}
             other => panic!("expected ShuttingDown, got {other:?}"),
         }

@@ -303,6 +303,59 @@ fn oversize_lines_get_a_typed_error_and_the_connection_survives() {
 }
 
 #[test]
+fn a_request_line_that_is_not_utf8_is_refused_and_the_connection_survives() {
+    let server = boot(Mapper::new());
+    let stream = TcpStream::connect(server.local_addr()).expect("connect");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+
+    // A well-formed map_request whose id holds two bytes that are not
+    // UTF-8. Decoded lossily, it would be served under a rewritten id
+    // that the client could not match to its request.
+    let line = MapRequest::new("req-@", vec![MajoranaSum::uniform_singles(2)]).to_line();
+    let (head, tail) = line.split_once('@').unwrap();
+    let mut bytes = head.as_bytes().to_vec();
+    bytes.extend_from_slice(b"\xff\xfe");
+    bytes.extend_from_slice(tail.as_bytes());
+    bytes.push(b'\n');
+    writer.write_all(&bytes).expect("send");
+
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("error line");
+    match ResponseLine::from_line(&line).expect("parse") {
+        ResponseLine::Item(item) => {
+            let err = item.error().expect("a typed error, not a served request");
+            assert_eq!(err.code, "invalid_request");
+            assert!(err.message.contains("UTF-8"), "{}", err.message);
+            assert_eq!(item.index, None);
+        }
+        other => panic!("{other:?}"),
+    }
+    line.clear();
+    reader.read_line(&mut line).expect("done line");
+    match ResponseLine::from_line(&line).expect("parse") {
+        ResponseLine::Done(done) => assert_eq!((done.items, done.errors), (1, 1)),
+        other => panic!("{other:?}"),
+    }
+
+    // The same connection still serves a valid request.
+    let req = MapRequest::new("after-utf8", vec![MajoranaSum::uniform_singles(2)]);
+    writer
+        .write_all(format!("{}\n", req.to_line()).as_bytes())
+        .expect("send valid");
+    line.clear();
+    reader.read_line(&mut line).expect("item line");
+    match ResponseLine::from_line(&line).expect("parse") {
+        ResponseLine::Item(item) => {
+            assert!(item.is_ok(), "connection wedged: {:?}", item.error());
+            assert_eq!(item.id, "after-utf8");
+        }
+        other => panic!("{other:?}"),
+    }
+    server.shutdown();
+}
+
+#[test]
 fn a_client_disconnecting_mid_stream_does_not_wedge_the_server() {
     let server = boot(Mapper::new());
     let addr = server.local_addr();
