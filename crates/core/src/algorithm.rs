@@ -17,8 +17,10 @@
 //!   the `mdown : O → descZ(O)` and `mup : descZ(O) → O` maps replacing
 //!   both traversals with O(1) lookups, for `O(N³)` total. Its greedy
 //!   pass also keeps a per-construction score table, so each candidate
-//!   is scored once per construction rather than once per step (see
-//!   [`ScoreTable`]).
+//!   is scored once per construction rather than once per step, and
+//!   each pair row's first minimum, so a step reads the new parent's
+//!   column and the rows a merge disturbed rather than every candidate
+//!   (see [`ScoreTable`]).
 //!
 //! Orthogonally to the variant, a [`SelectionPolicy`] decides *which* of
 //! the candidate triples wins each step:
@@ -82,6 +84,7 @@
 //! # Ok::<(), hatt_core::HattError>(())
 //! ```
 
+use std::cmp::Ordering;
 use std::time::Instant;
 
 use hatt_fermion::MajoranaSum;
@@ -443,7 +446,8 @@ const UNSCORED: [u32; 3] = [u32::MAX; 3];
 /// The per-construction score table of a [`Variant::Cached`] greedy
 /// pass: the membership counts of each candidate scored so far, so
 /// that each candidate is scored once per construction instead of once
-/// per step.
+/// per step, and each row's first minimum, so that a step reads only
+/// the entries that can move it.
 ///
 /// A candidate is an X/Y pair of roots plus a Z root. The row is the
 /// pair, named by its free leaves `(2m, 2m + 1)` (row `m`), the column
@@ -454,11 +458,47 @@ const UNSCORED: [u32; 3] = [u32::MAX; 3];
 /// read again, the new parent's column starts empty, and only the row
 /// whose partner root was the merged `O_Z` now names a different pair
 /// (the parent inherits `descZ(O_Z)`). That row is cleared.
+///
+/// # Row minima
+///
+/// Each row caches its first minimum `(score, Z)`. The invariant: `Z`
+/// is the first live column (ascending node id) with the row's minimum
+/// score, every live column before it scores strictly worse, and every
+/// live column after it scores no better. An attach removes three
+/// columns and adds one, the new parent, whose id is the largest yet.
+/// Each step visits every row and restores the invariant:
+///
+/// 1. A row without a minimum (step 0, or emptied by
+///    [`ScoreTable::clear_pair`]) is scanned in full.
+/// 2. Any other row first scores the newest column, the parent attached
+///    on the previous step: the one column the row has not seen.
+/// 3. If the cached `Z` is still a root, the newest column replaces it
+///    only when strictly better.
+/// 4. If `Z` merged away, the row's scan resumes just after `Z` and
+///    stops at the first column whose score orders equal to the old
+///    minimum: nothing can beat it, and every column before `Z` scored
+///    worse. Only when no column ties is the rest of the row read; the
+///    newest column then wins only if strictly better.
+///
+/// Ties compare with [`Ord::cmp`], which orders by `(key, residual)`;
+/// the derived `==` also compares the reported weight. Rule 2 scores
+/// the same entry the full visit would score on the same step, so the
+/// scored set, and each step's `candidates`, do not change.
 struct ScoreTable {
     /// Mode count `N`: the table has `N` rows of `3N + 1` columns.
     n: usize,
     /// `(n₁, n₂, n₃)` per entry, [`UNSCORED`] where not yet scored.
     counts: Vec<[u32; 3]>,
+    /// Each row's first minimum `(score, Z)`, `None` before the row's
+    /// first full scan.
+    row_min: Vec<Option<(TripleScore, NodeId)>>,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Entries [`ScoreTable::select`] has read on this thread (scored
+    /// or not): the read-bound test's counter.
+    static TABLE_READS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 impl ScoreTable {
@@ -474,6 +514,7 @@ impl ScoreTable {
         tabled.then(|| ScoreTable {
             n,
             counts: vec![UNSCORED; n * n_nodes],
+            row_min: vec![None; n],
         })
     }
 
@@ -482,12 +523,13 @@ impl ScoreTable {
     /// scored only the first time any step visits it.
     ///
     /// The full scan meets every candidate twice per step, once from
-    /// each root of its X/Y pair as `O_X`. This pass walks each pair
-    /// once, from its smaller root (first in the ascending `u`), then Z
-    /// ascending: each candidate's first visit in the full scan, in the
-    /// same order. The repeat visit carries the same score, so under
-    /// the strict-`<` first-wins rule it never wins and both passes
-    /// elect the same triple.
+    /// each root of its X/Y pair as `O_X`. This pass takes each pair
+    /// once, from its smaller root (first in the ascending `u`), and
+    /// each row's first minimum over Z ascending: that is the first
+    /// visit of the row's best candidate in the full scan. The repeat
+    /// visits carry the same scores, so under the strict-`<` first-wins
+    /// rule over the row minima, in that row order, both passes elect
+    /// the same triple.
     fn select(
         &mut self,
         engine: &mut TermEngine,
@@ -498,6 +540,10 @@ impl ScoreTable {
         state: &PairingState,
     ) -> Result<Selection, HattError> {
         let stride = 3 * self.n + 1;
+        // Node ids grow with each attach, so the parent attached on the
+        // previous step is the last of the ascending `u` (read only by
+        // rows scanned on an earlier step).
+        let newest = u.last().copied().unwrap_or_default();
         let mut best: Option<(TripleScore, [NodeId; 3])> = None;
         for &ox in u {
             let x_leaf = state.mdown[ox];
@@ -512,21 +558,42 @@ impl ScoreTable {
             // The even leaf sits on the X branch (Algorithm 2 line 15).
             let [x, y] = if x_leaf % 2 == 0 { [ox, oy] } else { [oy, ox] };
             let row = x_leaf / 2 * stride;
-            for &oz in u {
-                if oz == ox || oz == oy {
-                    continue;
-                }
-                let children = [x, y, oz];
-                let entry = &mut self.counts[row + oz];
+            let counts = &mut self.counts;
+            let mut read = |oz: NodeId| {
+                #[cfg(test)]
+                TABLE_READS.with(|r| r.set(r.get() + 1));
+                let entry = &mut counts[row + oz];
                 if *entry == UNSCORED {
                     stats.candidates += 1;
-                    let c = counts_of(engine, options, children);
+                    let c = counts_of(engine, options, [x, y, oz]);
                     *entry = [c.n1, c.n2, c.n3].map(|k| k as u32);
                 }
                 let [n1, n2, n3] = entry.map(|k| k as usize);
-                let score = TripleCounts { n1, n2, n3 }.score(blend);
+                TripleCounts { n1, n2, n3 }.score(blend)
+            };
+            let row_min = &mut self.row_min[x_leaf / 2];
+            let min = match *row_min {
+                // Rule 1.
+                None => first_min(u.iter().filter(|&&oz| oz != ox && oz != oy), &mut read),
+                Some(old) => {
+                    debug_assert!(newest != ox && newest != oy, "a re-paired row is cleared");
+                    let fresh = (read(newest), newest); // rule 2
+                    let kept = if u.binary_search(&old.1).is_ok() {
+                        Some(old) // rule 3
+                    } else {
+                        let columns = |oz: &&NodeId| ![ox, oy, newest].contains(*oz);
+                        resume_after(u, old, columns, &mut read) // rule 4
+                    };
+                    match kept {
+                        Some(kept) if fresh.0 >= kept.0 => Some(kept),
+                        _ => Some(fresh),
+                    }
+                }
+            };
+            *row_min = min;
+            if let Some((score, oz)) = min {
                 if best.as_ref().is_none_or(|b| score < b.0) {
-                    best = Some((score, children));
+                    best = Some((score, [x, y, oz]));
                 }
             }
         }
@@ -541,14 +608,61 @@ impl ScoreTable {
         })
     }
 
-    /// Empties the row of the pair owning free leaf `leaf` (a no-op for
-    /// the never-pairing `O_2N`, which has no row).
+    /// Empties the row of the pair owning free leaf `leaf`, entries and
+    /// minimum (a no-op for the never-pairing `O_2N`, which has no row).
     fn clear_pair(&mut self, leaf: NodeId) {
         let stride = 3 * self.n + 1;
         let row = leaf / 2 * stride;
         if let Some(entries) = self.counts.get_mut(row..row + stride) {
             entries.fill(UNSCORED);
         }
+        if let Some(min) = self.row_min.get_mut(leaf / 2) {
+            *min = None;
+        }
+    }
+}
+
+/// The first minimum of `columns` under `score`: the earliest column
+/// with the least score, `None` when there are no columns.
+fn first_min<'a>(
+    columns: impl Iterator<Item = &'a NodeId>,
+    score: &mut impl FnMut(NodeId) -> TripleScore,
+) -> Option<(TripleScore, NodeId)> {
+    let mut min: Option<(TripleScore, NodeId)> = None;
+    for &oz in columns {
+        let s = score(oz);
+        if min.is_none_or(|m| s < m.0) {
+            min = Some((s, oz));
+        }
+    }
+    min
+}
+
+/// Rule 4 of [`ScoreTable`]: the first minimum of the `columns` of `u`
+/// once the old minimum `(score, z)` has merged away. The first column
+/// after `z` whose score ties it is that minimum; without a tie, every
+/// column scores worse, and the columns before `z` are read to find it.
+fn resume_after(
+    u: &[NodeId],
+    (score, z): (TripleScore, NodeId),
+    columns: impl Fn(&&NodeId) -> bool,
+    read: &mut impl FnMut(NodeId) -> TripleScore,
+) -> Option<(TripleScore, NodeId)> {
+    let (before, after) = u.split_at(u.partition_point(|&v| v < z));
+    let mut after_min: Option<(TripleScore, NodeId)> = None;
+    for &oz in after.iter().filter(&columns) {
+        let s = read(oz);
+        if s.cmp(&score) == Ordering::Equal {
+            return Some((s, oz));
+        }
+        if after_min.is_none_or(|m| s < m.0) {
+            after_min = Some((s, oz));
+        }
+    }
+    match (first_min(before.iter().filter(&columns), read), after_min) {
+        (Some(b), Some(a)) if a.0 < b.0 => Some(a),
+        (Some(b), _) => Some(b),
+        (None, a) => a,
     }
 }
 
@@ -1360,6 +1474,39 @@ mod tests {
         }
     }
 
+    /// The row minima keep a table pass sub-cubic in entries read: a
+    /// pass that read every live entry on every step would read about
+    /// `⅔·N³` (~65·N² at N = 98).
+    #[test]
+    fn table_pass_reads_at_most_ten_entries_per_mode_squared() {
+        use hatt_fermion::models::FermiHubbard;
+
+        let hubbard = |periodic| {
+            let mut model = FermiHubbard::new(7, 7);
+            model.periodic = periodic;
+            let mut h = MajoranaSum::from_fermion(&model.hamiltonian());
+            let _ = h.take_identity();
+            (format!("hubbard 7x7 periodic={periodic}"), h)
+        };
+        let roster = [
+            hubbard(false),
+            hubbard(true),
+            ("uniform singles".into(), MajoranaSum::uniform_singles(128)),
+        ];
+        for (name, h) in roster {
+            let n = h.n_modes() as u64;
+            TABLE_READS.with(|r| r.set(0));
+            build_default(&h);
+            let reads = TABLE_READS.with(|r| r.get());
+            assert!(reads > 0, "{name}: the pass read no table entries");
+            assert!(
+                reads <= 10 * n * n,
+                "{name} (N = {n}): {reads} entries read, {:.1}·N²",
+                reads as f64 / (n * n) as f64
+            );
+        }
+    }
+
     #[test]
     fn beats_or_matches_balanced_tree_on_benchmarks() {
         use hatt_fermion::models::FermiHubbard;
@@ -1466,6 +1613,15 @@ mod table_differential {
         h
     }
 
+    /// A random Hamiltonian on `seed + 2` modes.
+    fn random(seed: u64) -> MajoranaSum {
+        let n = 2 + seed as usize;
+        let op = hatt_fermion::models::random_hermitian(n, 2 * n, n, seed);
+        let mut h = MajoranaSum::from_fermion(&op);
+        let _ = h.take_identity();
+        h
+    }
+
     /// The roster: random Hamiltonians plus the tie-heavy shapes
     /// (uniform singles, a small pool of supports drawn with repeats,
     /// one term, all-quartic).
@@ -1476,11 +1632,7 @@ mod table_differential {
             cases.push((format!("singles/{n}"), MajoranaSum::uniform_singles(n)));
         }
         for seed in 0..16 {
-            let n = 2 + seed as usize;
-            let op = hatt_fermion::models::random_hermitian(n, 2 * n, n, seed);
-            let mut h = MajoranaSum::from_fermion(&op);
-            let _ = h.take_identity();
-            cases.push((format!("random/{seed}"), h));
+            cases.push((format!("random/{seed}"), random(seed)));
         }
         for n in [3, 6, 11, 20] {
             let pool: Vec<Vec<u32>> = (0..3).map(|_| support(&mut rng, n, 2)).collect();
@@ -1523,9 +1675,21 @@ mod table_differential {
         assert_eq!(weights(table), weights(scan), "{tag}: settled weights");
     }
 
+    /// Two wider members on which each build resumes hundreds of rows
+    /// whose minimum merged away (rule 4 of [`ScoreTable`]): the
+    /// tie-heavy singles chain, where most resumes stop at a tie, and a
+    /// random Hamiltonian, where most read the rest of the row. The
+    /// remap chains skip them, which would cost seconds in debug builds.
+    fn wide_roster() -> Vec<(String, MajoranaSum)> {
+        vec![
+            ("singles/48".into(), MajoranaSum::uniform_singles(48)),
+            ("random/38".into(), random(38)),
+        ]
+    }
+
     #[test]
     fn table_pass_equals_the_paired_scan_under_every_blend() {
-        for (name, h) in roster() {
+        for (name, h) in roster().into_iter().chain(wide_roster()) {
             for blend in BLENDS {
                 let greedy = SelectionPolicy::Greedy;
                 let table = hatt_single(&h, &options(Variant::Cached, greedy), blend).unwrap();

@@ -36,9 +36,10 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use hatt_core::{HattError, HattOptions, Mapper};
+use hatt_core::{HattError, HattMapping, HattOptions, Mapper};
 use hatt_fermion::{HamiltonianDelta, MajoranaSum};
 use hatt_mappings::FermionMapping;
+use hatt_pauli::{PauliString, COEFF_EPS};
 use hatt_trace::{now_ns, TraceCtx, Tracer};
 
 use crate::error::ServiceError;
@@ -453,25 +454,14 @@ fn run_job(mapper: &Mapper, job: &Job, inner_threads: usize) -> MapItem {
             (*index, to_payload(result, h))
         }
         Work::Remap { hamiltonian, delta } => {
-            let result = delta
-                .apply(hamiltonian)
-                .map_err(HattError::from)
-                .and_then(|next| {
-                    let mapping =
-                        mapper
-                            .cache()
-                            .try_remap_or_build(hamiltonian, delta, &options)?;
-                    Ok((mapping, next))
-                });
-            let payload = match result {
-                Ok((mapping, next)) => {
-                    let pauli_weight = mapping.map_majorana_sum(&next).weight();
-                    ItemPayload::Ok {
-                        mapping,
-                        pauli_weight,
-                    }
+            let payload = match delta.apply(hamiltonian) {
+                Ok(next) => {
+                    let result = mapper
+                        .cache()
+                        .try_remap_or_build(hamiltonian, delta, &options);
+                    to_payload(result, &next)
                 }
-                Err(e) => ItemPayload::Err(ItemError::from_hatt(&e)),
+                Err(e) => ItemPayload::Err(ItemError::from_hatt(&HattError::from(e))),
             };
             (0, payload)
         }
@@ -483,10 +473,11 @@ fn run_job(mapper: &Mapper, job: &Job, inner_threads: usize) -> MapItem {
     }
 }
 
-fn to_payload(result: Result<hatt_core::HattMapping, HattError>, h: &MajoranaSum) -> ItemPayload {
+/// The item for `h`'s mapping, or its typed error.
+fn to_payload(result: Result<HattMapping, HattError>, h: &MajoranaSum) -> ItemPayload {
     match result {
         Ok(mapping) => {
-            let pauli_weight = mapping.map_majorana_sum(h).weight();
+            let pauli_weight = served_weight(&mapping, h);
             ItemPayload::Ok {
                 mapping,
                 pauli_weight,
@@ -494,6 +485,28 @@ fn to_payload(result: Result<hatt_core::HattMapping, HattError>, h: &MajoranaSum
         }
         Err(e) => ItemPayload::Err(ItemError::from_hatt(&e)),
     }
+}
+
+/// `mapping.map_majorana_sum(h).weight()` for the `h` the mapping was
+/// built or replayed for, read from the construction's settled weights
+/// instead of mapping every term. A valid tree maps distinct Majorana
+/// monomials to distinct Pauli strings, so no terms merge and the
+/// settled weights already sum the mapped ones. Only pruning differs:
+/// `MajoranaSum` keeps terms down to `MAJORANA_EPS`, the mapped sum
+/// drops those at or below [`COEFF_EPS`], so their weights come off.
+fn served_weight(mapping: &HattMapping, h: &MajoranaSum) -> usize {
+    let pruned: usize = h
+        .iter()
+        .filter(|(_, coeff)| coeff.is_zero(COEFF_EPS))
+        .map(|(support, _)| {
+            let mut product = PauliString::identity(mapping.n_qubits());
+            for &k in support {
+                product.mul_assign_right(mapping.majorana(k as usize));
+            }
+            product.weight()
+        })
+        .sum();
+    mapping.stats().total_weight() - pruned
 }
 
 fn check_modes(h: &MajoranaSum, expected_modes: Option<usize>) -> Result<(), HattError> {
@@ -728,5 +741,133 @@ mod tests {
             Err(ServiceError::ShuttingDown) => {}
             other => panic!("expected ShuttingDown, got {other:?}"),
         }
+    }
+
+    /// Faint magnitudes: `MajoranaSum` keeps them (above
+    /// `MAJORANA_EPS` = 1e-12), the mapped sum prunes all but the last
+    /// (at or below `COEFF_EPS` = 1e-10).
+    const FAINT: [f64; 5] = [1.5e-12, 3e-11, 9.9e-11, 1e-10, 1.01e-10];
+
+    /// A redrawn coefficient, each case a third of the time: a `FAINT`
+    /// magnitude or `coeff` under a random unit phase, or `coeff` as is.
+    fn draw(rng: &mut rand::rngs::StdRng, coeff: Complex64) -> Complex64 {
+        use rand::Rng;
+        let phase = [Complex64::ONE, Complex64::I, -Complex64::ONE, -Complex64::I];
+        match rng.gen_range(0..3) {
+            0 => Complex64::real(FAINT[rng.gen_range(0..FAINT.len())]) * phase[rng.gen_range(0..4)],
+            1 => coeff * phase[rng.gen_range(0..4)],
+            _ => coeff,
+        }
+    }
+
+    /// `h` with every coefficient redrawn: the same structure.
+    fn redrawn(rng: &mut rand::rngs::StdRng, h: &MajoranaSum) -> MajoranaSum {
+        let mut out = MajoranaSum::new(h.n_modes());
+        for (support, coeff) in h.iter() {
+            out.add(draw(rng, coeff), support);
+        }
+        out
+    }
+
+    fn assert_served(tag: &str, item: &MapItem, h: &MajoranaSum) {
+        let ItemPayload::Ok {
+            mapping,
+            pauli_weight,
+        } = &item.payload
+        else {
+            panic!("{tag}: {item:?}");
+        };
+        assert_eq!(
+            *pauli_weight,
+            mapping.map_majorana_sum(h).weight(),
+            "{tag}: served weight"
+        );
+    }
+
+    /// The served `pauli_weight` (the settled weights less the pruned
+    /// terms) against mapping every term: random Hamiltonians with faint
+    /// coefficients, every policy and variant, and each path an item
+    /// takes: a cold build, a cache replay, a remap and a store hit.
+    #[test]
+    fn served_pauli_weight_is_the_mapped_weight_on_every_path() {
+        use hatt_core::Variant;
+        use hatt_mappings::SelectionPolicy;
+        use rand::SeedableRng;
+
+        let store = std::env::temp_dir().join(format!(
+            "hatt-served-weight-test-{}.store",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&store);
+        let cached = start(one_worker());
+        // No memory tier: every repeated structure is a store hit.
+        let stored = Mapper::builder()
+            .cache_capacity(0)
+            .store_path(&store)
+            .build()
+            .unwrap();
+        let stored = Scheduler::new(stored, one_worker(), Tracer::disabled()).unwrap();
+        let (worker, completions) = worker_pair().expect("worker");
+        let sink = ConnSink::new(&worker);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xfa17);
+        let policies = [
+            SelectionPolicy::Greedy,
+            SelectionPolicy::Vanilla,
+            SelectionPolicy::Lookahead { width: 3 },
+            SelectionPolicy::Beam { width: 3 },
+            SelectionPolicy::Restarts,
+        ];
+        let mut runs = 0;
+        for seed in 0..3u64 {
+            let n = 4 + 2 * seed as usize;
+            let op = hatt_fermion::models::random_hermitian(n, 2 * n, n, seed);
+            let h = redrawn(&mut rng, &MajoranaSum::from_fermion(&op));
+            for variant in [Variant::Unopt, Variant::Paired, Variant::Cached] {
+                for policy in policies {
+                    let options = Some(HattOptions {
+                        variant,
+                        policy,
+                        ..Default::default()
+                    });
+                    let tag = format!("n={n} {variant:?} {policy}");
+                    let replayed = redrawn(&mut rng, &h);
+                    for scheduler in [&cached, &stored] {
+                        let mut req = MapRequest::new(&tag, vec![h.clone(), replayed.clone()]);
+                        req.options = options;
+                        scheduler.submit_map(req, &sink, None).unwrap();
+                        let items = collect(&completions, &sink, 2);
+                        assert_served(&format!("{tag} cold"), &items[0], &h);
+                        assert_served(&format!("{tag} repeat"), &items[1], &replayed);
+                    }
+                    // Drop one term and add a faint one.
+                    let (support, coeff) = h.iter().find(|(s, _)| !s.is_empty()).unwrap();
+                    let mut delta = HamiltonianDelta::new(n);
+                    delta.push_remove(coeff, support).unwrap();
+                    let faint: Vec<u32> = (0..2 * n as u32).step_by(3).take(4).collect();
+                    if h.coefficient_of(&faint).is_zero(1e-12) {
+                        delta.push_add(Complex64::real(FAINT[1]), &faint).unwrap();
+                    }
+                    let next = delta.apply(&h).unwrap();
+                    let mut req = MapDeltaRequest::new(&tag, h.clone(), delta);
+                    req.options = options;
+                    cached.submit_delta(req, &sink, None).unwrap();
+                    let items = collect(&completions, &sink, 1);
+                    assert_served(&format!("{tag} remap"), &items[0], &next);
+                    runs += 1;
+                }
+            }
+        }
+        // Each repeat was served by the path it was meant to take.
+        let cache = cached.shared.mapper.cache();
+        assert_eq!(cache.hits(), runs, "cache replays");
+        assert_eq!(
+            cache.remaps(),
+            3 * 4,
+            "remaps: greedy and vanilla, paired variants"
+        );
+        let tier = stored.shared.mapper.cache().store_stats().unwrap();
+        assert_eq!(tier.hits, runs, "store hits");
+        drop(stored);
+        let _ = std::fs::remove_file(&store);
     }
 }
