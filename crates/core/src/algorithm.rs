@@ -53,15 +53,6 @@
 //! [`Mapper::map_batch`](crate::Mapper::map_batch), which additionally
 //! caches constructions by Hamiltonian structure.
 //!
-//! ## Incremental remaps
-//!
-//! A remap ([`Mapper::remap`](crate::Mapper::remap)) runs the same pass
-//! as a cold build. The score table already limits each step to the
-//! candidates the previous merge changed, so a remap has no cheaper
-//! subset left to score; what it keeps is its bookkeeping (the
-//! [`remaps`](crate::MappingCache::remaps) counter, the `remap` span and
-//! the store record's lineage).
-//!
 //! # Examples
 //!
 //! Stronger policies can only improve the objective; the `Restarts`
@@ -1154,19 +1145,6 @@ pub(crate) fn hatt_replay(
     assemble(options, &engine, builder, iterations, start)
 }
 
-/// Whether a remap under `options` is served as a remap: counted in
-/// [`MappingCache::remaps`](crate::MappingCache::remaps), timed under
-/// the `remap` span and stored with its ancestor as lineage. Only the
-/// single-pass greedy policies over the paired variants qualify; other
-/// options count as a cold construction. Both run the cold build's
-/// pass, so this decides the bookkeeping, never the result.
-pub(crate) fn remap_supported(options: &HattOptions) -> bool {
-    matches!(
-        options.policy,
-        SelectionPolicy::Greedy | SelectionPolicy::Vanilla
-    ) && !matches!(options.variant, Variant::Unopt)
-}
-
 /// Runs one [`PortfolioMember`] of the restarts portfolio as a complete,
 /// independent construction — the unit of work the threaded portfolio
 /// fans out.
@@ -1528,12 +1506,12 @@ mod tests {
         assert_eq!(err, HattError::EmptyHamiltonian);
     }
 
-    /// Direct differential check of the remap path; the full randomized
+    /// Direct differential check of `Mapper::remap`; the full randomized
     /// suite (policies × threads × socket) lives in
     /// `tests/remap_differential.rs`.
     #[test]
     fn remap_kernel_matches_fresh_construction_bit_identically() {
-        use crate::batch::MappingCache;
+        use crate::Mapper;
         use hatt_fermion::HamiltonianDelta;
 
         for variant in [Variant::Paired, Variant::Cached] {
@@ -1542,8 +1520,8 @@ mod tests {
                 let mut h = MajoranaSum::from_fermion(&op);
                 let _ = h.take_identity();
                 let options = opts(variant);
-                let cache = MappingCache::new();
-                cache.try_get_or_build(&h, &options).unwrap();
+                let mapper = Mapper::with_options(options);
+                mapper.map(&h).unwrap();
 
                 // Remove one existing term, add one absent term.
                 let (victim, coeff) = h.iter().next().map(|(i, c)| (i.to_vec(), c)).unwrap();
@@ -1556,8 +1534,7 @@ mod tests {
                 let next = delta.apply(&h).unwrap();
 
                 let fresh = hatt_with_impl(&next, &options).unwrap();
-                let remap = cache.try_remap_or_build(&h, &delta, &options).unwrap();
-                assert_eq!(cache.remaps(), 1, "{variant:?}/{seed}");
+                let remap = mapper.remap(&h, &delta).unwrap();
                 assert_eq!(remap.tree(), fresh.tree(), "{variant:?}/{seed}");
                 for (a, b) in remap
                     .stats()
@@ -1737,7 +1714,7 @@ mod table_differential {
                 for step in 0..6 {
                     let delta = random_delta(&mut rng, &h);
                     let next = delta.apply(&h).unwrap();
-                    let table = cache.try_remap_or_build(&h, &delta, &table_opts).unwrap();
+                    let table = cache.try_get_or_build(&next, &table_opts).unwrap();
                     let scan = hatt_with_impl(&next, &scan_opts).unwrap();
                     assert_same(&format!("{name} {policy} step {step}"), &table, &scan);
                     h = next;

@@ -92,7 +92,7 @@ use interleave::sync::{Condvar, Mutex, MutexGuard};
 #[cfg(not(interleave))]
 use std::sync::{Condvar, Mutex, MutexGuard};
 
-use hatt_fermion::{HamiltonianDelta, MajoranaSum};
+use hatt_fermion::MajoranaSum;
 use hatt_mappings::{NodeId, TernaryTree};
 use hatt_store::fnv1a64;
 // A free no-op unless the calling thread is inside a `Tracer::scope`
@@ -101,7 +101,7 @@ use hatt_store::fnv1a64;
 // through these signatures.
 use hatt_trace::span;
 
-use crate::algorithm::{hatt_replay, hatt_with_impl, remap_supported, HattMapping, HattOptions};
+use crate::algorithm::{hatt_replay, hatt_with_impl, HattMapping, HattOptions};
 use crate::error::HattError;
 use crate::store::{StoreTier, StoreTierStats};
 
@@ -331,23 +331,6 @@ impl CacheInner {
         (slot, true)
     }
 
-    /// Read-only check for a *resolved* entry. Unlike
-    /// [`CacheInner::probe`] this never claims, never blocks on a
-    /// pending slot, and moves no counters or LRU clocks — it is the
-    /// remap path asking "do we happen to still know the ancestor's
-    /// tree?", and a miss there is not a cache miss of the requested
-    /// structure. (Locking a slot under the cache lock is fine; eviction
-    /// already does it.)
-    fn holds(&self, hash: u64, structure: &Structure, options: &HattOptions) -> bool {
-        self.buckets.get(&hash).is_some_and(|bucket| {
-            bucket.iter().any(|e| {
-                e.options == *options
-                    && e.structure == *structure
-                    && matches!(*e.slot.lock(), SlotState::Ready(_))
-            })
-        })
-    }
-
     /// Evicts least-recently-used *resolved* entries until the bound
     /// holds. Pending entries (a worker is constructing; followers may
     /// be blocked on the slot) are never evicted, so the cache can
@@ -439,16 +422,9 @@ pub struct MappingCache {
     /// disk latency never blocks probes of other structures).
     store: Option<StoreTier>,
     /// Real constructions run (selection work actually done): misses of
-    /// *both* tiers. The persistence smoke test pins this at zero for a
-    /// fully warm-started daemon.
+    /// *both* tiers, session edits included. The persistence smoke test
+    /// pins this at zero for a fully warm-started daemon.
     constructions: AtomicU64,
-    /// Rebuilds served by the remap path
-    /// ([`MappingCache::try_remap_or_build`]): the ancestor's tree was
-    /// found, so the build is recorded as its descendant. Deliberately
-    /// *not* counted in `constructions` — the differential harness pins
-    /// remapped workloads at strictly fewer constructions than fresh
-    /// ones.
-    remaps: AtomicU64,
 }
 
 impl MappingCache {
@@ -487,7 +463,6 @@ impl MappingCache {
             }),
             store: None,
             constructions: AtomicU64::new(0),
-            remaps: AtomicU64::new(0),
         }
     }
 
@@ -509,20 +484,11 @@ impl MappingCache {
     }
 
     /// Real constructions run — probes that missed *every* tier and did
-    /// the full selection work. `misses() - constructions()` (plus
-    /// store-tier hits) is the work the tiers saved.
+    /// the full selection work, whether they came from `map`, a batch
+    /// or a session edit ([`Mapper::remap`](crate::Mapper::remap)).
+    /// `misses() - constructions()` is the work the store tier saved.
     pub fn constructions(&self) -> u64 {
         self.constructions.load(Ordering::Relaxed)
-    }
-
-    /// Rebuilds served by [`MappingCache::try_remap_or_build`] — probes
-    /// that missed both tiers for the *requested* structure but found
-    /// the ancestor's tree. A remap runs the cold build's pass, which
-    /// scores each candidate once per construction; the count separates
-    /// session edits from cold constructions, and the store records
-    /// each remap's ancestor as its lineage.
-    pub fn remaps(&self) -> u64 {
-        self.remaps.load(Ordering::Relaxed)
     }
 
     /// Runs a real construction (both tiers missed), counting it.
@@ -574,50 +540,6 @@ impl MappingCache {
         h: &MajoranaSum,
         options: &HattOptions,
     ) -> Result<HattMapping, HattError> {
-        self.resolve(h, options, None)
-    }
-
-    /// Maps the Hamiltonian obtained by applying `delta` to `prev`,
-    /// reusing `prev`'s construction wherever possible:
-    ///
-    /// 1. If the *post-delta* structure hits either tier, the cached
-    ///    merge sequence is replayed — the delta turned out to land on
-    ///    a structure already known.
-    /// 2. Otherwise, if `prev`'s tree is still known (in memory or on
-    ///    disk) and the options admit a remap (single-pass greedy
-    ///    policies, paired variants), the tree is rebuilt as a remap:
-    ///    the cold build's pass, counted in [`MappingCache::remaps`]
-    ///    and timed under the `remap` span. The result is bit-identical
-    ///    to a fresh construction (`tests/remap_differential.rs`), and
-    ///    the write-through record carries `prev`'s structure hash as
-    ///    its `lineage`.
-    /// 3. Otherwise it is an ordinary cold construction.
-    ///
-    /// A delta that does not apply cleanly to `prev` (removing an
-    /// absent term, adding a present one, mode mismatch) is
-    /// [`HattError::Delta`].
-    pub fn try_remap_or_build(
-        &self,
-        prev: &MajoranaSum,
-        delta: &HamiltonianDelta,
-        options: &HattOptions,
-    ) -> Result<HattMapping, HattError> {
-        let next = delta.apply(prev)?;
-        self.resolve(&next, options, Some(&Structure::of(prev)))
-    }
-
-    /// The shared probe/own/follow flow behind
-    /// [`MappingCache::try_get_or_build`] (no ancestor) and
-    /// [`MappingCache::try_remap_or_build`] (ancestor = the pre-delta
-    /// structure). The ancestor is consulted only where a cold
-    /// construction would otherwise run, so it can change how the
-    /// build is recorded but never its result.
-    fn resolve(
-        &self,
-        h: &MajoranaSum,
-        options: &HattOptions,
-        ancestor: Option<&Structure>,
-    ) -> Result<HattMapping, HattError> {
         // The worker cap changes scheduling, never results: normalize it
         // out of the cache identity.
         let norm = HattOptions {
@@ -647,38 +569,20 @@ impl MappingCache {
                 std::mem::forget(guard);
                 return Ok(mapping);
             }
-            if let Some(mapping) = self.remap_from_ancestor(h, options, &norm, ancestor)? {
-                // Same write-through-then-publish order as a cold
-                // construction, with the ancestor recorded as lineage.
-                if let Some(tier) = &self.store {
-                    span("store.save", || {
-                        tier.save(&structure, &norm, &mapping, ancestor.map(Structure::hash));
-                    });
-                }
-                slot.fill(merge_sequence(mapping.tree()));
-                std::mem::forget(guard);
-                return Ok(mapping);
+            // On an error, dropping the guard fails the slot and
+            // removes the entry, exactly as an unwind would.
+            let mapping = self.construct(h, options)?;
+            // Write-through before publishing the slot, so a follower
+            // observing `Ready` implies the record is (best-effort) on
+            // its way to disk.
+            if let Some(tier) = &self.store {
+                span("store.save", || tier.save(&structure, &norm, &mapping));
             }
-            match self.construct(h, options) {
-                Ok(mapping) => {
-                    // Write-through before publishing the slot, so a
-                    // follower observing `Ready` implies the record is
-                    // (best-effort) on its way to disk.
-                    if let Some(tier) = &self.store {
-                        span("store.save", || {
-                            tier.save(&structure, &norm, &mapping, None)
-                        });
-                    }
-                    slot.fill(merge_sequence(mapping.tree()));
-                    // fill() resolved the slot, so the guard's cleanup
-                    // must not run — the entry stays cached.
-                    std::mem::forget(guard);
-                    Ok(mapping)
-                }
-                // Dropping the guard fails the slot and removes the
-                // entry, exactly as an unwind would.
-                Err(e) => Err(e),
-            }
+            slot.fill(merge_sequence(mapping.tree()));
+            // fill() resolved the slot, so the guard's cleanup must not
+            // run — the entry stays cached.
+            std::mem::forget(guard);
+            Ok(mapping)
         } else {
             match slot.wait() {
                 Some(seq) => Ok(span("cache.replay", || hatt_replay(h, options, &seq))),
@@ -686,44 +590,6 @@ impl MappingCache {
                 None => self.construct(h, options),
             }
         }
-    }
-
-    /// The remap path: looks the ancestor's tree up (memory first —
-    /// read-only, no counters — then the persistent tier) and, when the
-    /// options admit a remap, builds `h` as its descendant. `Ok(None)`
-    /// means "no usable ancestor, construct cold"; any damaged, missing
-    /// or mismatched ancestor record lands there, so remap lineage
-    /// faults degrade gracefully (`tests/store_persistence.rs`).
-    fn remap_from_ancestor(
-        &self,
-        h: &MajoranaSum,
-        options: &HattOptions,
-        norm: &HattOptions,
-        ancestor: Option<&Structure>,
-    ) -> Result<Option<HattMapping>, HattError> {
-        let Some(prev_structure) = ancestor else {
-            return Ok(None);
-        };
-        let n = h.n_modes();
-        if n == 0 || prev_structure.n_modes != n || !remap_supported(norm) {
-            return Ok(None);
-        }
-        // Two statements, so the cache lock is released before the
-        // store read.
-        let in_memory = self
-            .lock()
-            .holds(prev_structure.hash(), prev_structure, norm);
-        let known = in_memory
-            || self
-                .store
-                .as_ref()
-                .and_then(|tier| tier.load(prev_structure, norm))
-                .is_some_and(|seq| seq.len() == n);
-        if !known {
-            return Ok(None);
-        }
-        self.remaps.fetch_add(1, Ordering::Relaxed);
-        span("remap", || hatt_with_impl(h, options)).map(Some)
     }
 
     fn lock(&self) -> MutexGuard<'_, CacheInner> {

@@ -146,17 +146,13 @@ impl Mapper {
     /// term (adaptive ansatz growth, geometry scans that add/drop
     /// interactions).
     ///
-    /// The result is **bit-identical** to
-    /// `self.map(&delta.apply(prev)?)` — same tree, same per-step
-    /// settled weights (`tests/remap_differential.rs` pins this). A
-    /// post-delta structure already in either cache tier is replayed.
-    /// Otherwise, when `prev`'s tree is still cached (either tier) and
-    /// the options are a single-pass greedy policy on a paired variant,
-    /// the build runs as a remap: the same pass as a cold build, which
-    /// scores each candidate once per construction, counted in
-    /// [`MappingCache::remaps`] instead of
-    /// [`MappingCache::constructions`], with `prev`'s structure recorded
-    /// as the store record's lineage.
+    /// A remap is exactly `self.map(&delta.apply(prev)?)`: a tree is a
+    /// pure function of the term structure, so the post-delta
+    /// Hamiltonian goes through the one cache path. A structure already
+    /// in either cache tier is replayed; anything else is a
+    /// construction, counted in [`MappingCache::constructions`].
+    /// `tests/remap_differential.rs` pins the result against fresh
+    /// builds: same tree, same per-step settled weights.
     ///
     /// # Errors
     ///
@@ -186,7 +182,7 @@ impl Mapper {
     /// // Bit-identical to mapping the post-delta Hamiltonian fresh.
     /// let fresh = mapper.map(&delta.apply(&h)?)?;
     /// assert_eq!(remapped.tree(), fresh.tree());
-    /// assert_eq!(mapper.cache().remaps(), 1);
+    /// assert_eq!(mapper.cache().constructions(), 2);
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     pub fn remap(
@@ -194,7 +190,7 @@ impl Mapper {
         prev: &MajoranaSum,
         delta: &HamiltonianDelta,
     ) -> Result<HattMapping, HattError> {
-        self.cache.try_remap_or_build(prev, delta, &self.options)
+        self.map(&delta.apply(prev)?)
     }
 
     /// Maps a second-quantized operator (preprocesses to Majorana form
@@ -278,7 +274,8 @@ impl MapperBuilder {
     }
 
     /// Selects the policy from its compact string form
-    /// (`greedy | vanilla | restarts | lookahead:<w> | beam:<w>`).
+    /// (`greedy | vanilla | restarts | lookahead:<w> | beam:<w>`, with
+    /// `1 ≤ w ≤ 64`).
     /// Parsing happens at [`MapperBuilder::build`], surfacing
     /// [`HattError::InvalidPolicy`].
     pub fn policy_str(mut self, policy: impl Into<String>) -> Self {

@@ -117,20 +117,9 @@ impl StoreTier {
     /// Writes a freshly constructed mapping through to disk.
     /// Best-effort: an I/O error is counted and dropped, never
     /// propagated into the mapping result.
-    ///
-    /// `lineage` is the structure hash of the mapping this record was
-    /// incrementally derived from (`None` for cold constructions); it
-    /// is recorded for provenance and ignored on load, so records with
-    /// and without it interoperate in both directions.
-    pub(crate) fn save(
-        &self,
-        structure: &Structure,
-        options: &HattOptions,
-        mapping: &HattMapping,
-        lineage: Option<u64>,
-    ) {
+    pub(crate) fn save(&self, structure: &Structure, options: &HattOptions, mapping: &HattMapping) {
         let key = Self::key(structure, options);
-        let value = encode_record(structure, mapping, lineage).render();
+        let value = encode_record(structure, mapping).render();
         match self.lock().put(&key, value.as_bytes()) {
             Ok(()) => self.writes.fetch_add(1, Ordering::Relaxed),
             Err(_) => self.write_errors.fetch_add(1, Ordering::Relaxed),
@@ -164,16 +153,13 @@ impl StoreTier {
 }
 
 /// The `store_record` document: the full structure (collision guard)
-/// next to the standard `hatt_mapping` payload, plus an optional
-/// `lineage` field — the parent structure hash when the mapping came
-/// out of the incremental remap path, as a 16-hex-digit string (the
-/// JSON integer type here is `i64`-bounded; hashes are full `u64`s).
-fn encode_record(structure: &Structure, mapping: &HattMapping, lineage: Option<u64>) -> Json {
+/// next to the standard `hatt_mapping` payload.
+fn encode_record(structure: &Structure, mapping: &HattMapping) -> Json {
     let terms = structure
         .terms()
         .map(|t| Json::Arr(t.iter().map(|&i| Json::int(u64::from(i))).collect()))
         .collect();
-    let mut payload = vec![
+    let payload = vec![
         (
             "structure".into(),
             Json::Obj(vec![
@@ -183,16 +169,15 @@ fn encode_record(structure: &Structure, mapping: &HattMapping, lineage: Option<u
         ),
         ("mapping".into(), hatt_mapping_payload(mapping)),
     ];
-    if let Some(parent) = lineage {
-        payload.push(("lineage".into(), Json::str(format!("{parent:016x}"))));
-    }
     envelope(KIND, Json::Obj(payload))
 }
 
 /// Decodes and *verifies* a stored record: the embedded structure must
 /// equal the probe's (so a 64-bit hash collision can never alias two
 /// structures through disk) and the mapping's options must match the
-/// probe's discriminant. Returns the merge sequence to replay.
+/// probe's discriminant. Returns the merge sequence to replay. Other
+/// payload members are ignored, so records written with the retired
+/// `lineage` member still load.
 fn decode_record(
     bytes: &[u8],
     expect: &Structure,
@@ -257,27 +242,25 @@ mod tests {
         let options = HattOptions::default();
         let structure = Structure::of(&h);
         let mapping = hatt_with_impl(&h, &options).unwrap();
-        let doc = encode_record(&structure, &mapping, None).render();
+        let doc = encode_record(&structure, &mapping).render();
         let seq = decode_record(doc.as_bytes(), &structure, &options).unwrap();
         assert_eq!(seq, merge_sequence(mapping.tree()));
     }
 
     #[test]
-    fn lineage_is_recorded_but_never_gates_decoding() {
+    fn a_record_with_a_retired_lineage_member_still_decodes() {
         let h = MajoranaSum::uniform_singles(4);
         let options = HattOptions::default();
         let structure = Structure::of(&h);
         let mapping = hatt_with_impl(&h, &options).unwrap();
-        let with = encode_record(&structure, &mapping, Some(u64::MAX)).render();
-        // Full-range u64 survives as a hex string in the document…
-        assert!(with.contains(r#""lineage":"ffffffffffffffff""#));
-        // …and a lineage-bearing record decodes exactly like a bare one
-        // (the field is provenance only).
-        let seq = decode_record(with.as_bytes(), &structure, &options).unwrap();
-        let bare = encode_record(&structure, &mapping, None).render();
+        let bare = encode_record(&structure, &mapping).render();
         assert!(!bare.contains("lineage"));
+        // Older daemons wrote the parent's structure hash after the
+        // mapping, as the payload's last member.
+        let head = bare.strip_suffix("}}").unwrap();
+        let old = [head, r#","lineage":"ffffffffffffffff"}}"#].concat();
         assert_eq!(
-            seq,
+            decode_record(old.as_bytes(), &structure, &options).unwrap(),
             decode_record(bare.as_bytes(), &structure, &options).unwrap()
         );
     }
@@ -288,7 +271,7 @@ mod tests {
         let options = HattOptions::default();
         let structure = Structure::of(&h);
         let mapping = hatt_with_impl(&h, &options).unwrap();
-        let doc = encode_record(&structure, &mapping, None).render();
+        let doc = encode_record(&structure, &mapping).render();
         // Same address, different structure: the collision guard.
         let other = Structure::of(&MajoranaSum::uniform_singles(5));
         assert!(decode_record(doc.as_bytes(), &other, &options).is_err());
@@ -311,7 +294,7 @@ mod tests {
         quartic.add(hatt_pauli::Complex64::ONE, &[0, 1, 2, 3]);
         let options = HattOptions::default();
         let mapping = hatt_with_impl(&pairs, &options).unwrap();
-        let doc = encode_record(&Structure::of(&pairs), &mapping, None).render();
+        let doc = encode_record(&Structure::of(&pairs), &mapping).render();
         assert!(decode_record(doc.as_bytes(), &Structure::of(&pairs), &options).is_ok());
         assert!(decode_record(doc.as_bytes(), &Structure::of(&quartic), &options).is_err());
     }
@@ -325,7 +308,7 @@ mod tests {
         let structure = Structure::of(&h);
         assert!(tier.load(&structure, &options).is_none());
         let mapping = hatt_with_impl(&h, &options).unwrap();
-        tier.save(&structure, &options, &mapping, None);
+        tier.save(&structure, &options, &mapping);
         let seq = tier.load(&structure, &options).unwrap();
         assert_eq!(seq, merge_sequence(mapping.tree()));
         let stats = tier.stats();

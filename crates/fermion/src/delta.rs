@@ -1,13 +1,12 @@
-//! Structural Hamiltonian deltas: the edit scripts behind incremental
-//! remapping (`Mapper::remap` in `hatt-core`, the `map_delta` service
-//! verb).
+//! Structural Hamiltonian deltas: the edit scripts behind
+//! `Mapper::remap` in `hatt-core` and the `map_delta` service verb.
 //!
 //! Iterative algorithms — adaptive-VQE operator pools, active-space
 //! growth — submit long streams of Hamiltonians that differ from their
 //! predecessor by a handful of terms. A [`HamiltonianDelta`] captures
 //! exactly that difference as an ordered list of term insertions and
-//! removals over a fixed mode count, so downstream layers can rebuild
-//! only where term incidence actually changed.
+//! removals over a fixed mode count. A mapper applies it to the
+//! previous Hamiltonian and maps the result like any other.
 //!
 //! The edit semantics are deliberately *strict*: an added term must be
 //! absent from the base Hamiltonian and a removed term must be present

@@ -185,6 +185,11 @@ impl fmt::Display for PortfolioMember {
     }
 }
 
+/// The widest `lookahead:<w>` or `beam:<w>` a policy string may name.
+/// A beam keeps up to `width` cloned engine states per step, so policy
+/// text from a request line or the environment may not ask for more.
+const MAX_WIDTH: usize = 64;
+
 /// Error from parsing a [`SelectionPolicy`] string.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParsePolicyError(String);
@@ -193,7 +198,7 @@ impl fmt::Display for ParsePolicyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "invalid selection policy {:?} (expected greedy | vanilla | restarts | lookahead:<width> | beam:<width>)",
+            "invalid selection policy {:?} (expected greedy | vanilla | restarts | lookahead:<width> | beam:<width>, width 1 to {MAX_WIDTH})",
             self.0
         )
     }
@@ -215,7 +220,7 @@ impl FromStr for SelectionPolicy {
             },
             Some((kind, width)) => {
                 let width: usize = width.parse().map_err(|_| err())?;
-                if width == 0 {
+                if !(1..=MAX_WIDTH).contains(&width) {
                     return Err(err());
                 }
                 match kind {
@@ -365,6 +370,7 @@ mod tests {
             SelectionPolicy::Restarts,
             SelectionPolicy::Lookahead { width: 4 },
             SelectionPolicy::Beam { width: 16 },
+            SelectionPolicy::Beam { width: 64 },
         ] {
             assert_eq!(p.to_string().parse::<SelectionPolicy>().unwrap(), p);
         }
@@ -372,7 +378,16 @@ mod tests {
 
     #[test]
     fn parse_rejects_garbage() {
-        for s in ["", "beam", "beam:0", "beam:x", "anneal:3", "greedy:2"] {
+        for s in [
+            "",
+            "beam",
+            "beam:0",
+            "beam:x",
+            "anneal:3",
+            "greedy:2",
+            "beam:65",
+            "lookahead:18446744073709551615",
+        ] {
             assert!(s.parse::<SelectionPolicy>().is_err(), "{s:?} should fail");
         }
     }

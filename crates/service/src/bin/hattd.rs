@@ -49,8 +49,9 @@ use hatt_service::{SchedulerConfig, Server, ServerConfig};
 /// The structure cache's default LRU bound. Every cache miss adds an
 /// entry (~10–13 KB at 98 modes), so an unbounded cache grows with
 /// every session edit. 64 entries keep a serving working set of a few
-/// dozen structures warm, and a remap session only needs its newest
-/// ancestor, which is the most recently used entry.
+/// dozen structures warm. A session edit hits only when it lands on a
+/// structure seen before, such as an undone edit, which is among the
+/// most recently used entries.
 const DEFAULT_CACHE_ENTRIES: usize = 64;
 
 struct Args {

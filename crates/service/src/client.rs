@@ -53,11 +53,11 @@ pub fn request_streaming(
     exchange(addr, req.to_line(), &req.id, on_item)
 }
 
-/// Sends a [`MapDeltaRequest`] — incremental remapping of a base
-/// Hamiltonian plus a structural delta — and collects the single-item
-/// response. When the daemon still knows the base structure's tree,
-/// the build counts as a remap of it (`stats.remaps`) rather than as a
-/// cold construction.
+/// Sends a [`MapDeltaRequest`] — a base Hamiltonian plus a structural
+/// delta — and collects the single-item response. The daemon applies
+/// the delta and maps the result like any request item: a structure it
+/// already knows is replayed, any other is built and counted in
+/// `stats.constructions`.
 ///
 /// # Examples
 ///
@@ -71,14 +71,14 @@ pub fn request_streaming(
 /// let base = MajoranaSum::uniform_singles(3);
 /// // Warm the daemon's cache with the base structure…
 /// client::request(server.local_addr(), &MapRequest::new("warm", vec![base.clone()]))?;
-/// // …then remap a one-term edit of it incrementally.
+/// // …then map a one-term edit of it.
 /// let mut delta = HamiltonianDelta::new(3);
 /// delta.push_add(Complex64::real(0.5), &[0, 1, 2, 3]).unwrap();
 /// let reply = client::remap(server.local_addr(), &MapDeltaRequest::new("step", base, delta))?;
 /// assert_eq!(reply.done.items, 1);
 /// assert!(reply.items[0].is_ok());
 /// let stats = client::stats(server.local_addr(), "probe")?;
-/// assert_eq!(stats.remaps, 1);
+/// assert_eq!(stats.constructions, 2);
 /// server.shutdown();
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```

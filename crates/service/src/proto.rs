@@ -232,10 +232,10 @@ impl MapRequest {
     }
 }
 
-/// An incremental remapping request (`kind: "map_delta"`): a base
-/// Hamiltonian the daemon has (ideally) already mapped, plus a
-/// structural [`HamiltonianDelta`] to apply to it. Answered with one
-/// `map_item` for the post-delta Hamiltonian and a `map_done` line —
+/// A session-edit request (`kind: "map_delta"`): a base Hamiltonian
+/// plus a structural [`HamiltonianDelta`] to apply to it. The daemon
+/// maps the post-delta Hamiltonian like any request item and answers
+/// with one `map_item` for it and a `map_done` line —
 /// the same response shape as a one-item [`MapRequest`], so existing
 /// response parsers work unchanged.
 ///
@@ -834,11 +834,12 @@ pub struct StatsReply {
     pub oversize_lines: u64,
     /// Map requests accepted into the scheduler since boot.
     pub requests: u64,
-    /// Real constructions run (both cache tiers missed).
+    /// Real constructions run (both cache tiers missed), `map_delta`
+    /// edits included.
     pub constructions: u64,
-    /// Remaps served: `map_delta` requests whose base structure was
-    /// found in a cache tier, so the build was recorded as its
-    /// descendant instead of as a cold construction.
+    /// Retired: a `map_delta` edit is counted in `constructions` like
+    /// any other build, so daemons always report 0. The wire key stays
+    /// for clients that still read it.
     pub remaps: u64,
     /// Queued items skipped because their connection hung up before
     /// dispatch — work the disconnect cancellation saved.
@@ -1345,13 +1346,13 @@ impl TraceDumpReply {
     }
 }
 
-/// One parsed request line: a mapping batch, an incremental remap, a
-/// stats probe or a trace dump.
+/// One parsed request line: a mapping batch, a session edit, a stats
+/// probe or a trace dump.
 #[derive(Debug, Clone)]
 pub enum RequestLine {
     /// A batch mapping request.
     Map(MapRequest),
-    /// An incremental remapping request.
+    /// A session-edit request.
     Delta(MapDeltaRequest),
     /// An observability probe.
     Stats(StatsRequest),

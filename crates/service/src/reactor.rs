@@ -91,7 +91,8 @@ pub(crate) trait Backend: Send + Sync + 'static {
         sink: &ConnSink,
         trace: Option<TraceCtx>,
     ) -> Result<usize, ServiceError>;
-    /// Starts serving an incremental remap (same contract).
+    /// Starts serving a `map_delta` request: a base Hamiltonian plus a
+    /// delta, mapped as one item (same contract).
     fn submit_delta(
         &self,
         req: MapDeltaRequest,

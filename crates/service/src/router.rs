@@ -107,8 +107,7 @@ enum ShardPayload {
     /// A slice of a batch request; `orig[i]` is the client-side index
     /// of the sub-request's item `i`.
     Map { sub: MapRequest, orig: Vec<usize> },
-    /// A whole remap request (routed by its base structure's key so it
-    /// lands on the shard whose cache holds the ancestor tree).
+    /// A whole remap request, routed by its base structure's key.
     Delta(MapDeltaRequest),
 }
 
@@ -361,9 +360,9 @@ impl Backend for RouterBackend {
         trace: Option<TraceCtx>,
     ) -> Result<usize, ServiceError> {
         self.metrics.requests.fetch_add(1, Ordering::Relaxed);
-        // Route by the *base* structure: that's the key under which the
-        // owning shard's cache holds the ancestor tree the incremental
-        // remap wants to reuse.
+        // Route by the *base* structure, so a session's edits land on
+        // the shard that owns its base. The shard caches and stores the
+        // post-delta structure there, not on the shard that owns it.
         let hash_start = trace.map(|_| now_ns()).unwrap_or_default();
         let shard = &self.shards[self.ring.owner(structure_key(&req.hamiltonian))];
         if let Some(ctx) = trace {

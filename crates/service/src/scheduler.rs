@@ -78,9 +78,8 @@ enum Work {
         h: MajoranaSum,
         expected_modes: Option<usize>,
     },
-    /// Apply a structural delta to a base Hamiltonian and remap it,
-    /// reusing the cached ancestor tree when the base is known (the
-    /// incremental fast path of [`hatt_core::MappingCache`]).
+    /// Apply a structural delta to a base Hamiltonian and map the
+    /// result through the cache, like any other item.
     Remap {
         hamiltonian: MajoranaSum,
         delta: HamiltonianDelta,
@@ -342,7 +341,6 @@ impl Backend for Scheduler {
         let cache = mapper.cache();
         reply.queue_depth = self.queue_len();
         reply.constructions = cache.constructions();
-        reply.remaps = cache.remaps();
         reply.cache = TierStats {
             hits: cache.hits(),
             misses: cache.misses(),
@@ -455,12 +453,7 @@ fn run_job(mapper: &Mapper, job: &Job, inner_threads: usize) -> MapItem {
         }
         Work::Remap { hamiltonian, delta } => {
             let payload = match delta.apply(hamiltonian) {
-                Ok(next) => {
-                    let result = mapper
-                        .cache()
-                        .try_remap_or_build(hamiltonian, delta, &options);
-                    to_payload(result, &next)
-                }
+                Ok(next) => to_payload(mapper.cache().try_get_or_build(&next, &options), &next),
                 Err(e) => ItemPayload::Err(ItemError::from_hatt(&HattError::from(e))),
             };
             (0, payload)
@@ -787,7 +780,8 @@ mod tests {
     /// The served `pauli_weight` (the settled weights less the pruned
     /// terms) against mapping every term: random Hamiltonians with faint
     /// coefficients, every policy and variant, and each path an item
-    /// takes: a cold build, a cache replay, a remap and a store hit.
+    /// takes: a cold build, a cache replay, a session edit and a store
+    /// hit.
     #[test]
     fn served_pauli_weight_is_the_mapped_weight_on_every_path() {
         use hatt_core::Variant;
@@ -857,14 +851,11 @@ mod tests {
                 }
             }
         }
-        // Each repeat was served by the path it was meant to take.
+        // Each repeat was served by the path it was meant to take, and
+        // each edit was built: a cold build and an edit per run.
         let cache = cached.shared.mapper.cache();
         assert_eq!(cache.hits(), runs, "cache replays");
-        assert_eq!(
-            cache.remaps(),
-            3 * 4,
-            "remaps: greedy and vanilla, paired variants"
-        );
+        assert_eq!(cache.constructions(), 2 * runs, "cold builds and edits");
         let tier = stored.shared.mapper.cache().store_stats().unwrap();
         assert_eq!(tier.hits, runs, "store hits");
         drop(stored);

@@ -320,13 +320,25 @@ fn a_request_line_that_is_not_utf8_is_refused_and_the_connection_survives() {
     bytes.push(b'\n');
     writer.write_all(&bytes).expect("send");
 
+    assert_refused_then_served(&mut reader, &mut writer, "UTF-8");
+    server.shutdown();
+}
+
+/// Reads the typed `invalid_request` reply to a refused line, whose
+/// message names `needle`, then checks the same connection still
+/// serves a valid request.
+fn assert_refused_then_served(
+    reader: &mut BufReader<TcpStream>,
+    writer: &mut TcpStream,
+    needle: &str,
+) {
     let mut line = String::new();
     reader.read_line(&mut line).expect("error line");
     match ResponseLine::from_line(&line).expect("parse") {
         ResponseLine::Item(item) => {
             let err = item.error().expect("a typed error, not a served request");
             assert_eq!(err.code, "invalid_request");
-            assert!(err.message.contains("UTF-8"), "{}", err.message);
+            assert!(err.message.contains(needle), "{}", err.message);
             assert_eq!(item.index, None);
         }
         other => panic!("{other:?}"),
@@ -338,8 +350,7 @@ fn a_request_line_that_is_not_utf8_is_refused_and_the_connection_survives() {
         other => panic!("{other:?}"),
     }
 
-    // The same connection still serves a valid request.
-    let req = MapRequest::new("after-utf8", vec![MajoranaSum::uniform_singles(2)]);
+    let req = MapRequest::new("after-refusal", vec![MajoranaSum::uniform_singles(2)]);
     writer
         .write_all(format!("{}\n", req.to_line()).as_bytes())
         .expect("send valid");
@@ -348,10 +359,29 @@ fn a_request_line_that_is_not_utf8_is_refused_and_the_connection_survives() {
     match ResponseLine::from_line(&line).expect("parse") {
         ResponseLine::Item(item) => {
             assert!(item.is_ok(), "connection wedged: {:?}", item.error());
-            assert_eq!(item.id, "after-utf8");
+            assert_eq!(item.id, "after-refusal");
         }
         other => panic!("{other:?}"),
     }
+}
+
+#[test]
+fn a_policy_width_over_the_bound_is_refused_and_the_connection_survives() {
+    let server = boot(Mapper::new());
+    let stream = TcpStream::connect(server.local_addr()).expect("connect");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+
+    // A beam keeps up to `width` engine states per step, so a width
+    // over 64 is refused before anything is queued.
+    let mut req = MapRequest::new("wide", vec![MajoranaSum::uniform_singles(2)]);
+    req.options = Some(HattOptions::with_policy(SelectionPolicy::Beam {
+        width: 65,
+    }));
+    writer
+        .write_all(format!("{}\n", req.to_line()).as_bytes())
+        .expect("send");
+    assert_refused_then_served(&mut reader, &mut writer, "beam:65");
     server.shutdown();
 }
 
@@ -477,7 +507,7 @@ fn connections_beyond_the_cap_get_a_typed_overloaded_line() {
 }
 
 #[test]
-fn map_delta_over_tcp_matches_a_fresh_build_and_counts_a_remap() {
+fn map_delta_over_tcp_matches_a_fresh_build_and_counts_a_construction() {
     let server = boot(Mapper::new());
     let addr = server.local_addr();
     let base = preprocess(&NeutrinoModel::new(3, 2).hamiltonian());
@@ -487,7 +517,7 @@ fn map_delta_over_tcp_matches_a_fresh_build_and_counts_a_remap() {
         .expect("warm round trip");
     assert_eq!(warm.done.errors, 0);
 
-    // Remap a one-term structural edit of the base incrementally.
+    // Map a one-term structural edit of the base.
     let mut delta = HamiltonianDelta::new(base.n_modes());
     delta
         .push_add(Complex64::real(0.125), &[0, 1, 2, 3])
@@ -515,11 +545,10 @@ fn map_delta_over_tcp_matches_a_fresh_build_and_counts_a_remap() {
     );
     assert!(validate(remote).is_valid());
 
-    // The daemon served the edit from the ancestor tree: one remap,
-    // and still only the single (base) cold construction.
+    // The edit is a new structure, so the daemon built it: the base
+    // and the edit are one construction each.
     let stats = client::stats(addr, "probe").expect("stats");
-    assert_eq!(stats.remaps, 1, "expected the incremental fast path");
-    assert_eq!(stats.constructions, 1, "the edit must not construct cold");
+    assert_eq!(stats.constructions, 2, "the base and the edit");
 
     // A delta that does not apply comes back as a typed error item.
     let mut bogus = HamiltonianDelta::new(base.n_modes());
@@ -1193,7 +1222,7 @@ fn a_restarted_server_serves_the_molecule_roster_from_its_store() {
 }
 
 #[test]
-fn hand_written_wire_lines_map_remap_and_count_one_remap() {
+fn hand_written_wire_lines_map_remap_and_count_two_constructions() {
     // The exact bytes a non-Rust client writes: a 2-mode map_request,
     // a map_delta on the same structure, then a stats_request.
     const MAP: &str = r#"{"format":"hatt-wire/1","kind":"map_request","payload":{"id":"ci","hamiltonians":[{"n_modes":2,"terms":[{"re":1,"im":0,"idx":[0,1]},{"re":0.5,"im":0,"idx":[0,1,2,3]}]}]}}"#;
@@ -1236,6 +1265,6 @@ fn hand_written_wire_lines_map_remap_and_count_one_remap() {
         assert!(replies[0].contains(r#""ok":true"#), "{what}: {replies:?}");
     }
     let stats = exchange(STATS, "\n");
-    assert!(stats[0].contains(r#""remaps":1"#), "{stats:?}");
+    assert!(stats[0].contains(r#""constructions":2"#), "{stats:?}");
     server.shutdown();
 }
