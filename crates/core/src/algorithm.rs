@@ -20,14 +20,18 @@
 //!   is scored once per construction rather than once per step, and
 //!   each pair row's first minimum, so a step reads the new parent's
 //!   column and the rows a merge disturbed rather than every candidate
-//!   (see [`ScoreTable`]).
+//!   (see [`ScoreTable`]). On sparse inputs the table fills a whole row,
+//!   or the new parent's column, in one walk over each term's live
+//!   roots (the paper's per-term symbol sets); dense inputs, and every
+//!   pass that scores entry by entry, go through the engine's pair
+//!   memo.
 //!
 //! Orthogonally to the variant, a [`SelectionPolicy`] decides *which* of
 //! the candidate triples wins each step:
 //!
 //! * [`SelectionPolicy::Greedy`] (default) — minimum [`TripleScore`]
 //!   (amortized key, then post-reduce residual, then node index); one
-//!   pass, O(1) amortized per candidate via the memoized kernel.
+//!   pass, each candidate scored once per construction.
 //! * [`SelectionPolicy::Lookahead`] — the best-`width` shortlist is
 //!   re-ranked by simulating each candidate and adding the best
 //!   amortized key the next step could then achieve.
@@ -275,7 +279,7 @@ impl FermionMapping for HattMapping {
 }
 
 /// The construction entry point behind [`crate::Mapper::map`]:
-/// validates the input, then runs the selected policy.
+/// validates the input and the policy, then runs the policy.
 pub(crate) fn hatt_with_impl(
     h: &MajoranaSum,
     options: &HattOptions,
@@ -283,11 +287,21 @@ pub(crate) fn hatt_with_impl(
     if h.n_modes() == 0 {
         return Err(HattError::EmptyHamiltonian);
     }
+    check_policy(options.policy)?;
     match options.policy {
-        SelectionPolicy::Beam { width } => hatt_beam(h, options, width.max(1), Blend::UNIT),
+        SelectionPolicy::Beam { width } => hatt_beam(h, options, width, Blend::UNIT),
         SelectionPolicy::Restarts => hatt_restarts(h, options),
         _ => hatt_single(h, options, options.policy.blend()),
     }
+}
+
+/// Refuses a policy whose text form does not parse back: a `lookahead`
+/// or `beam` width outside 1 to 64. A mapping built under it could be
+/// neither stored nor sent, since store records and `map_item` lines
+/// carry the policy as text.
+pub(crate) fn check_policy(policy: SelectionPolicy) -> Result<(), HattError> {
+    let _: SelectionPolicy = policy.to_string().parse()?;
+    Ok(())
 }
 
 /// One policy-driven greedy/lookahead construction pass under `blend`:
@@ -305,15 +319,17 @@ fn hatt_single(
     let mut engine = TermEngine::new(h);
     let mut builder = TernaryTreeBuilder::new(n);
     let mut state = PairingState::new(n);
-    let mut table = ScoreTable::for_pass(n, options);
+    let mut table = ScoreTable::for_pass(&engine, options);
     let mut iterations = Vec::with_capacity(n);
+    // The node set `U`, ascending: each attach drops the three children
+    // and appends the parent, whose id is the largest yet.
+    let mut u: Vec<NodeId> = (0..2 * n + 1).collect();
 
     for qubit in 0..n {
         let mut iter_stats = IterationStats {
             qubit,
             ..Default::default()
         };
-        let u = builder.roots();
         let next_parent: NodeId = 2 * n + 1 + qubit;
         // `construct.step` times one qubit's candidate selection — the
         // per-step profiling hook behind the fig12 kernel analysis. A
@@ -362,8 +378,10 @@ fn hatt_single(
         if let Some(table) = &mut table {
             // `parent` inherits `descZ(O_Z)`, so the root that paired
             // with `O_Z` now pairs with `parent`.
-            table.clear_pair(state.mdown[parent]);
+            table.attach(&engine, parent, [ox, oy, oz], state.mdown[parent]);
         }
+        u.retain(|v| ![ox, oy, oz].contains(v));
+        u.push(parent);
         iterations.push(iter_stats);
     }
 
@@ -429,6 +447,17 @@ fn score_of(
 /// count, is ~25 MB.
 const SCORE_TABLE_NODE_LIMIT: usize = 2048;
 
+/// A [`ScoreTable`] fills by walking live roots when a leaf row's
+/// expected walk is at most this many root visits per column of the
+/// row (see [`walks_live_roots`]). Fixed by timing both fills on the
+/// paper's Table I, neutrino and Hubbard cases, the N = 256 pair,
+/// random Hamiltonians and 98-mode Hubbard edits. Every input at or
+/// below 1.6 visits per column built faster walked; from 2.2 up most
+/// random Hamiltonians and the neutrino models from 4x2F built slower.
+/// The estimate sees only the leaves, and on dense inputs the parents
+/// collect terms, so later walks cost more than the first.
+const WALK_VISITS_PER_COLUMN: u128 = 2;
+
 /// A table entry no candidate has filled yet. No real entry can equal
 /// it: the three counts of one triple sum to at most the term count,
 /// which fits a `u32`.
@@ -459,8 +488,8 @@ const UNSCORED: [u32; 3] = [u32::MAX; 3];
 /// columns and adds one, the new parent, whose id is the largest yet.
 /// Each step visits every row and restores the invariant:
 ///
-/// 1. A row without a minimum (step 0, or emptied by
-///    [`ScoreTable::clear_pair`]) is scanned in full.
+/// 1. A row without a minimum (step 0, or emptied by an attach) is
+///    filled and scanned in full.
 /// 2. Any other row first scores the newest column, the parent attached
 ///    on the previous step: the one column the row has not seen.
 /// 3. If the cached `Z` is still a root, the newest column replaces it
@@ -475,6 +504,39 @@ const UNSCORED: [u32; 3] = [u32::MAX; 3];
 /// the derived `==` also compares the reported weight. Rule 2 scores
 /// the same entry the full visit would score on the same step, so the
 /// scored set, and each step's `candidates`, do not change.
+///
+/// # Filling entries
+///
+/// An entry is `(n₁, n₂, n₃)`, from `S = |X| + |Y| + |Z|`,
+/// `P = |X∩Y| + |X∩Z| + |Y∩Z|` and `n₃ = |X∩Y∩Z|` by the identities of
+/// [`TermEngine::counts_of_triple_memo`]. Rules 1 and 2 fill in one of
+/// two ways, chosen once per construction from the input's shape:
+///
+/// * *Entry by entry*: each entry costs three pair-memo lookups (a
+///   bitset pass on a miss). Dense inputs, where a Majorana sits in a
+///   large share of the terms, fill this way.
+/// * *Walking live roots* ([`LiveRoots`]): each term keeps the roots
+///   its symbol set still holds. Rule 1 fills a whole row `(X, Y)` in
+///   one walk over the terms of `X ∪ Y`, accumulating `|X∩Z| + |Y∩Z|`
+///   and `|X∩Y∩Z|` for every `Z` in those terms' lists; every other
+///   column shares no term with `X` or `Y`, so its entry follows from
+///   `|X∩Y|` and the popcounts. Rule 2 fills the newest column of every
+///   row in one walk over the new parent's terms: each other live root
+///   in a term's list adds 1 to its row, and a row with both roots in
+///   the list also gains 1 in `|X∩Y∩P|`. `|X∩Y|` is kept per row from
+///   its rule 1 walk, which lasts as long as the row's pair.
+///
+/// The walk costs a few root visits per term a row touches, against a
+/// fixed per-entry cost, so it pays only where each Majorana sits in
+/// few terms. [`walks_live_roots`] estimates a leaf row's walk as
+/// `2 × (terms per Majorana) × (mean support)` root visits and walks
+/// when that is at most [`WALK_VISITS_PER_COLUMN`] times the row's
+/// `2N − 1` columns. Lattice models, the singles chain and Fig. 12's
+/// dense shape from N ≈ 128 walk; Table I molecules score entry by
+/// entry. Both fills write the same counts, so the choice moves no
+/// tree, merge sequence, `candidates` count or settled weight; a walked
+/// construction never touches the pair memo, so its `memo_hits` and
+/// `memo_misses` read 0.
 struct ScoreTable {
     /// Mode count `N`: the table has `N` rows of `3N + 1` columns.
     n: usize,
@@ -483,6 +545,9 @@ struct ScoreTable {
     /// Each row's first minimum `(score, Z)`, `None` before the row's
     /// first full scan.
     row_min: Vec<Option<(TripleScore, NodeId)>>,
+    /// The live-root lists of a walked fill, `None` when the table
+    /// fills entry by entry.
+    live: Option<LiveRoots>,
 }
 
 #[cfg(test)]
@@ -490,22 +555,35 @@ thread_local! {
     /// Entries [`ScoreTable::select`] has read on this thread (scored
     /// or not): the read-bound test's counter.
     static TABLE_READS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Overrides [`walks_live_roots`] for tables made on this thread:
+    /// `Some(true)` walks, `Some(false)` fills entry by entry, so the
+    /// differential tests run both fills on every input.
+    static FORCE_WALK: std::cell::Cell<Option<bool>> = const { std::cell::Cell::new(None) };
 }
 
 impl ScoreTable {
     /// The table for one construction pass, or `None` when the pass
     /// scans in full: the [`Variant::Paired`] and [`Variant::Unopt`]
     /// references, the lookahead (its shortlist wants every visit) and
-    /// trees over [`SCORE_TABLE_NODE_LIMIT`] nodes.
-    fn for_pass(n: usize, options: &HattOptions) -> Option<ScoreTable> {
+    /// trees over [`SCORE_TABLE_NODE_LIMIT`] nodes. The
+    /// [`HattOptions::naive_weight`] ablation keeps its per-term scan
+    /// for every entry.
+    fn for_pass(engine: &TermEngine, options: &HattOptions) -> Option<ScoreTable> {
+        let n = engine.n_modes();
         let n_nodes = 3 * n + 1;
         let tabled = options.variant == Variant::Cached
             && !matches!(options.policy, SelectionPolicy::Lookahead { .. })
             && n_nodes <= SCORE_TABLE_NODE_LIMIT;
-        tabled.then(|| ScoreTable {
-            n,
-            counts: vec![UNSCORED; n * n_nodes],
-            row_min: vec![None; n],
+        tabled.then(|| {
+            let walked = walks_live_roots(engine);
+            #[cfg(test)]
+            let walked = FORCE_WALK.with(|f| f.get()).unwrap_or(walked);
+            ScoreTable {
+                n,
+                counts: vec![UNSCORED; n * n_nodes],
+                row_min: vec![None; n],
+                live: (walked && !options.naive_weight).then(|| LiveRoots::new(engine)),
+            }
         })
     }
 
@@ -535,6 +613,11 @@ impl ScoreTable {
         // previous step is the last of the ascending `u` (read only by
         // rows scanned on an earlier step).
         let newest = u.last().copied().unwrap_or_default();
+        if let Some(live) = &mut self.live {
+            if newest > 2 * self.n {
+                live.walk_column(engine, state, newest);
+            }
+        }
         let mut best: Option<(TripleScore, [NodeId; 3])> = None;
         for &ox in u {
             let x_leaf = state.mdown[ox];
@@ -548,7 +631,15 @@ impl ScoreTable {
             debug_assert!(u.contains(&oy), "derived O_Y must be a current root");
             // The even leaf sits on the X branch (Algorithm 2 line 15).
             let [x, y] = if x_leaf % 2 == 0 { [ox, oy] } else { [oy, ox] };
-            let row = x_leaf / 2 * stride;
+            let m = x_leaf / 2;
+            let row = m * stride;
+            if let Some(live) = &mut self.live {
+                let entries = &mut self.counts[row..row + stride];
+                match self.row_min[m] {
+                    None => live.fill_row(engine, entries, m, [x, y], u, stats),
+                    Some(_) => live.fill_newest(engine, entries, m, [x, y], newest, stats),
+                }
+            }
             let counts = &mut self.counts;
             let mut read = |oz: NodeId| {
                 #[cfg(test)]
@@ -562,7 +653,7 @@ impl ScoreTable {
                 let [n1, n2, n3] = entry.map(|k| k as usize);
                 TripleCounts { n1, n2, n3 }.score(blend)
             };
-            let row_min = &mut self.row_min[x_leaf / 2];
+            let row_min = &mut self.row_min[m];
             let min = match *row_min {
                 // Rule 1.
                 None => first_min(u.iter().filter(|&&oz| oz != ox && oz != oy), &mut read),
@@ -599,17 +690,242 @@ impl ScoreTable {
         })
     }
 
-    /// Empties the row of the pair owning free leaf `leaf`, entries and
-    /// minimum (a no-op for the never-pairing `O_2N`, which has no row).
-    fn clear_pair(&mut self, leaf: NodeId) {
+    /// Records the attach of `parent` over `children`, after the engine
+    /// has reduced it: empties the row of the pair owning free leaf
+    /// `repaired`, entries and minimum (a no-op for the never-pairing
+    /// `O_2N`, which has no row), and moves the live roots of a walked
+    /// fill from the children to the parent.
+    fn attach(
+        &mut self,
+        engine: &TermEngine,
+        parent: NodeId,
+        children: [NodeId; 3],
+        repaired: NodeId,
+    ) {
         let stride = 3 * self.n + 1;
-        let row = leaf / 2 * stride;
+        let row = repaired / 2 * stride;
         if let Some(entries) = self.counts.get_mut(row..row + stride) {
             entries.fill(UNSCORED);
         }
-        if let Some(min) = self.row_min.get_mut(leaf / 2) {
+        if let Some(min) = self.row_min.get_mut(repaired / 2) {
             *min = None;
         }
+        if let Some(live) = &mut self.live {
+            live.attach(engine, parent, children);
+        }
+    }
+}
+
+/// Whether a [`ScoreTable`] over `engine` fills by walking live roots.
+///
+/// A leaf row walks the terms of its two Majoranas and, in each term,
+/// the term's live roots: about `2 × (terms per Majorana) × (mean
+/// support)` visits, where the entry-by-entry fill pays once per column.
+/// Both estimates come from counts the engine keeps: the leaves'
+/// incidence counts sum to the total support `I`, so the walk is
+/// `2·(I/2N)·(I/T)` over `2N − 1` columns.
+fn walks_live_roots(engine: &TermEngine) -> bool {
+    let n = engine.n_modes() as u128;
+    let incidences: u128 = (0..2 * engine.n_modes())
+        .map(|leaf| engine.node_count(leaf) as u128)
+        .sum();
+    let terms = engine.n_terms() as u128;
+    // 2·(I/2N)·(I/T) ≤ K·(2N − 1), multiplied through by 2N·T / 2.
+    incidences * incidences <= WALK_VISITS_PER_COLUMN * (2 * n - 1) * n * terms
+}
+
+/// Each term's live roots: the current roots whose symbol the term
+/// holds, the per-term symbol sets of the paper's Algorithm 1. A
+/// walked [`ScoreTable`] fills its rows and new columns from them.
+///
+/// Term `t` holds root `r` exactly when `t` is in `r`'s incidence, so a
+/// list changes only when its term meets an attach: the three children
+/// leave, and the parent joins when the term holds an odd number of
+/// them. A list therefore never outgrows its term's support, which
+/// sizes its slot.
+struct LiveRoots {
+    /// Term `t`'s list is `roots[start[t]..start[t] + len[t]]`, in a slot
+    /// of `start[t + 1] − start[t]`, the term's support. The total
+    /// support `I` fits a `u32`: the gate walks only when
+    /// `I² ≤ 2·(2N − 1)·N·T`, with `N` bounded by the table and `T` by the
+    /// engine.
+    start: Vec<u32>,
+    len: Vec<u32>,
+    roots: Vec<u32>,
+    /// `|X∩Y|` of each row's pair, from the row's rule 1 walk.
+    pair: Vec<u32>,
+    /// Rule 1's sums per column `Z`: `[|X∩Z| + |Y∩Z|, |X∩Y∩Z|]`, zero
+    /// between walks.
+    by_column: Vec<[u32; 2]>,
+    /// Rule 2's sums per row for the newest parent `P`:
+    /// `[|X∩P| + |Y∩P|, |X∩Y∩P|]`.
+    by_row: Vec<[u32; 2]>,
+}
+
+impl LiveRoots {
+    /// The lists of the `2N + 1` free leaves, from the engine's leaf
+    /// incidences (so terms keep the engine's numbering).
+    fn new(engine: &TermEngine) -> LiveRoots {
+        let n = engine.n_modes();
+        let terms = engine.n_terms();
+        let leaves = 0..2 * n + 1;
+        let mut start = vec![0u32; terms + 1];
+        for leaf in leaves.clone() {
+            for t in engine.incidence(leaf).iter_ones() {
+                start[t + 1] += 1;
+            }
+        }
+        for t in 0..terms {
+            start[t + 1] += start[t];
+        }
+        let mut len = vec![0u32; terms];
+        let mut roots = vec![0u32; start[terms] as usize];
+        for leaf in leaves {
+            for t in engine.incidence(leaf).iter_ones() {
+                roots[(start[t] + len[t]) as usize] = leaf as u32;
+                len[t] += 1;
+            }
+        }
+        LiveRoots {
+            start,
+            len,
+            roots,
+            pair: vec![0; n],
+            by_column: vec![[0; 2]; 3 * n + 1],
+            by_row: vec![[0; 2]; n],
+        }
+    }
+
+    /// Moves each affected term's list from the three `children` to
+    /// `parent`, whose incidence the engine already holds.
+    fn attach(&mut self, engine: &TermEngine, parent: NodeId, children: [NodeId; 3]) {
+        for child in children {
+            for t in engine.incidence(child).iter_ones() {
+                let s = self.start[t] as usize;
+                let len = &mut self.len[t];
+                let list = &mut self.roots[s..s + *len as usize];
+                if let Some(i) = list.iter().position(|&r| r as usize == child) {
+                    list.swap(i, list.len() - 1);
+                    *len -= 1;
+                }
+            }
+        }
+        for t in engine.incidence(parent).iter_ones() {
+            self.roots[(self.start[t] + self.len[t]) as usize] = parent as u32;
+            self.len[t] += 1;
+        }
+    }
+
+    /// Rule 2's walk: the sums of every row against the newest parent
+    /// `p`, from one pass over `p`'s terms.
+    fn walk_column(&mut self, engine: &TermEngine, state: &PairingState, p: NodeId) {
+        let o_2n = 2 * self.pair.len();
+        self.by_row.fill([0; 2]);
+        for t in engine.incidence(p).iter_ones() {
+            let s = self.start[t] as usize;
+            for &r in &self.roots[s..s + self.len[t] as usize] {
+                let (r, leaf) = (r as usize, state.mdown[r as usize]);
+                if r == p || leaf == o_2n {
+                    continue; // `p` itself, or `O_2N`, which has no row
+                }
+                let sums = &mut self.by_row[leaf / 2];
+                sums[0] += 1;
+                // An X root (even leaf) counts the triple intersection
+                // once for its row.
+                if leaf % 2 == 0 && engine.incidence(state.mup[leaf + 1]).get(t) {
+                    sums[1] += 1;
+                }
+            }
+        }
+    }
+
+    /// Rule 1 by walking: fills every unscored column of row `row`,
+    /// pair `[x, y]`, over the roots `u`.
+    fn fill_row(
+        &mut self,
+        engine: &TermEngine,
+        entries: &mut [[u32; 3]],
+        row: usize,
+        [x, y]: [NodeId; 2],
+        u: &[NodeId],
+        stats: &mut IterationStats,
+    ) {
+        let (in_x, in_y) = (engine.incidence(x), engine.incidence(y));
+        let mut xy = 0;
+        for t in in_x.iter_ones() {
+            let both = u32::from(in_y.get(t));
+            xy += both;
+            let s = self.start[t] as usize;
+            for &z in &self.roots[s..s + self.len[t] as usize] {
+                let sums = &mut self.by_column[z as usize];
+                sums[0] += 1 + both;
+                sums[1] += both;
+            }
+        }
+        for t in in_y.iter_ones().filter(|&t| !in_x.get(t)) {
+            let s = self.start[t] as usize;
+            for &z in &self.roots[s..s + self.len[t] as usize] {
+                self.by_column[z as usize][0] += 1;
+            }
+        }
+        self.pair[row] = xy;
+        let sxy = engine.node_count(x) + engine.node_count(y);
+        for &z in u {
+            // Taking every root's sums also zeroes those `x` and `y`
+            // gathered from their own lists.
+            let [pz, n3] = std::mem::take(&mut self.by_column[z]).map(|k| k as usize);
+            if z != x && z != y {
+                let (s, pairs) = (sxy + engine.node_count(z), xy as usize + pz);
+                fill_entry(engine, &mut entries[z], [x, y, z], s, pairs, n3, stats);
+            }
+        }
+    }
+
+    /// Rule 2 by walking: fills row `row`'s newest column from
+    /// [`LiveRoots::walk_column`]'s sums.
+    fn fill_newest(
+        &self,
+        engine: &TermEngine,
+        entries: &mut [[u32; 3]],
+        row: usize,
+        [x, y]: [NodeId; 2],
+        p: NodeId,
+        stats: &mut IterationStats,
+    ) {
+        let [pp, n3] = self.by_row[row].map(|k| k as usize);
+        let s = engine.node_count(x) + engine.node_count(y) + engine.node_count(p);
+        let pairs = self.pair[row] as usize + pp;
+        fill_entry(engine, &mut entries[p], [x, y, p], s, pairs, n3, stats);
+    }
+}
+
+/// Writes a walked entry, if still [`UNSCORED`], from `S`, `P` and `n₃`
+/// (see [`ScoreTable`]), counting it as a scored candidate. Test builds
+/// check each entry against the per-term scan of `triple`.
+#[cfg_attr(not(test), allow(unused_variables))]
+fn fill_entry(
+    engine: &TermEngine,
+    entry: &mut [u32; 3],
+    triple: [NodeId; 3],
+    s: usize,
+    p: usize,
+    n3: usize,
+    stats: &mut IterationStats,
+) {
+    if *entry != UNSCORED {
+        return;
+    }
+    stats.candidates += 1;
+    *entry = [s + 3 * n3 - 2 * p, p - 3 * n3, n3].map(|k| k as u32);
+    #[cfg(test)]
+    {
+        let [a, b, c] = triple;
+        let naive = engine.counts_of_triple_naive(a, b, c);
+        assert_eq!(
+            *entry,
+            [naive.n1, naive.n2, naive.n3].map(|k| k as u32),
+            "walked entry {triple:?}"
+        );
     }
 }
 
@@ -1557,7 +1873,11 @@ mod tests {
 /// The [`ScoreTable`] pass against the literal Algorithm 2 scan of
 /// [`Variant::Paired`]: same tree, merge sequence and per-step settled
 /// weights under every blend a table pass runs with, on random and
-/// tie-heavy Hamiltonians and along seeded remap chains.
+/// tie-heavy Hamiltonians and along seeded remap chains. Every input
+/// runs under both fills, walked and entry by entry, whichever the
+/// shape gate picks; they must also agree on each step's `candidates`
+/// and on the table reads, and every walked entry is checked against
+/// the per-term scan as it is written.
 #[cfg(test)]
 mod table_differential {
     use super::*;
@@ -1601,7 +1921,8 @@ mod table_differential {
 
     /// The roster: random Hamiltonians plus the tie-heavy shapes
     /// (uniform singles, a small pool of supports drawn with repeats,
-    /// one term, all-quartic).
+    /// one term, all-quartic) and supports of 1, 3, 6 and 8 Majoranas,
+    /// whose live-root lists run past 4.
     fn roster() -> Vec<(String, MajoranaSum)> {
         let mut rng = StdRng::seed_from_u64(0x7ab1e);
         let mut cases = Vec::new();
@@ -1624,7 +1945,55 @@ mod table_differential {
             let quartic: Vec<Vec<u32>> = (0..2 * n).map(|_| support(&mut rng, n, 4)).collect();
             cases.push((format!("quartic/{n}"), sum_of(n, &quartic)));
         }
+        for n in [4, 7, 12] {
+            let mixed: Vec<Vec<u32>> = (0..3 * n)
+                .map(|_| {
+                    let len = [1, 3, 6, 8][rng.gen_range(0..4)];
+                    support(&mut rng, n, len)
+                })
+                .collect();
+            cases.push((format!("mixed/{n}"), sum_of(n, &mixed)));
+        }
         cases
+    }
+
+    /// Runs `build` with the table's fill forced: walked or entry by
+    /// entry.
+    fn forced<T>(walked: bool, build: impl FnOnce() -> T) -> T {
+        FORCE_WALK.with(|f| f.set(Some(walked)));
+        let built = build();
+        FORCE_WALK.with(|f| f.set(None));
+        built
+    }
+
+    /// The table pass under both fills, checked against each other: the
+    /// same per-step `candidates` and table reads, and no pair-memo
+    /// traffic in the walked pass. Returns the walked pass.
+    fn both_fills(tag: &str, build: impl Fn() -> HattMapping) -> HattMapping {
+        let run = |walked| {
+            TABLE_READS.with(|r| r.set(0));
+            let m = forced(walked, &build);
+            (m, TABLE_READS.with(|r| r.get()))
+        };
+        let (walk, walk_reads) = run(true);
+        let (entry, entry_reads) = run(false);
+        assert_same(tag, &walk, &entry);
+        let candidates = |m: &HattMapping| -> Vec<u64> {
+            m.stats()
+                .iterations
+                .iter()
+                .map(|it| it.candidates)
+                .collect()
+        };
+        assert_eq!(candidates(&walk), candidates(&entry), "{tag}: candidates");
+        assert_eq!(walk_reads, entry_reads, "{tag}: table reads");
+        let memo = |m: &HattMapping| (m.stats().memo_hits, m.stats().memo_misses);
+        assert_eq!(
+            memo(&walk),
+            (0, 0),
+            "{tag}: a walked pass used the pair memo"
+        );
+        walk
     }
 
     fn options(variant: Variant, policy: SelectionPolicy) -> HattOptions {
@@ -1669,9 +2038,11 @@ mod table_differential {
         for (name, h) in roster().into_iter().chain(wide_roster()) {
             for blend in BLENDS {
                 let greedy = SelectionPolicy::Greedy;
-                let table = hatt_single(&h, &options(Variant::Cached, greedy), blend).unwrap();
-                let scan = hatt_single(&h, &options(Variant::Paired, greedy), blend).unwrap();
                 let tag = format!("{name} λ={}/{}", blend.num, blend.den);
+                let table = both_fills(&tag, || {
+                    hatt_single(&h, &options(Variant::Cached, greedy), blend).unwrap()
+                });
+                let scan = hatt_single(&h, &options(Variant::Paired, greedy), blend).unwrap();
                 assert_same(&tag, &table, &scan);
                 // The table pass did score through the table.
                 let scored = |m: &HattMapping| m.stats().total_candidates();
@@ -1708,18 +2079,54 @@ mod table_differential {
                 let mut rng = StdRng::seed_from_u64(seed as u64);
                 let table_opts = options(Variant::Cached, policy);
                 let scan_opts = options(Variant::Paired, policy);
-                let cache = MappingCache::new();
-                cache.try_get_or_build(&base, &table_opts).unwrap();
+                let caches = [MappingCache::new(), MappingCache::new()];
+                for (walked, cache) in [true, false].into_iter().zip(&caches) {
+                    forced(walked, || {
+                        cache.try_get_or_build(&base, &table_opts).unwrap()
+                    });
+                }
                 let mut h = base;
                 for step in 0..6 {
                     let delta = random_delta(&mut rng, &h);
                     let next = delta.apply(&h).unwrap();
-                    let table = cache.try_get_or_build(&next, &table_opts).unwrap();
+                    let tag = format!("{name} {policy} step {step}");
+                    let [walk, entry] = [true, false].map(|walked| {
+                        let cache = &caches[usize::from(!walked)];
+                        forced(walked, || {
+                            cache.try_get_or_build(&next, &table_opts).unwrap()
+                        })
+                    });
                     let scan = hatt_with_impl(&next, &scan_opts).unwrap();
-                    assert_same(&format!("{name} {policy} step {step}"), &table, &scan);
+                    assert_same(&tag, &walk, &scan);
+                    assert_same(&tag, &entry, &scan);
                     h = next;
                 }
             }
         }
     }
+
+    /// The session workload's shape: edits of a 98-mode Hubbard 7x7
+    /// lattice, whose builds the shape gate walks. Both fills must
+    /// match the `Paired` scan on the base and on each edit.
+    #[test]
+    fn both_fills_equal_the_paired_scan_along_a_98_mode_hubbard_edit_chain() {
+        use hatt_fermion::models::FermiHubbard;
+
+        let mut h = MajoranaSum::from_fermion(&FermiHubbard::new(7, 7).hamiltonian());
+        let _ = h.take_identity();
+        let greedy = options(Variant::Cached, SelectionPolicy::Greedy);
+        let scan_opts = options(Variant::Paired, SelectionPolicy::Greedy);
+        let mut rng = StdRng::seed_from_u64(98);
+        for step in 0..EDITS_98 {
+            let tag = format!("hubbard 7x7 edit {step}");
+            let table = both_fills(&tag, || hatt_with_impl(&h, &greedy).unwrap());
+            assert_same(&tag, &table, &hatt_with_impl(&h, &scan_opts).unwrap());
+            h = random_delta(&mut rng, &h).apply(&h).unwrap();
+        }
+    }
+
+    /// Builds of the 98-mode chain: the base and its edits. The `Paired`
+    /// scan at N = 98 costs seconds per build without optimizations, so
+    /// debug builds check the base and one edit.
+    const EDITS_98: usize = if cfg!(debug_assertions) { 2 } else { 6 };
 }

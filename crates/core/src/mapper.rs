@@ -30,7 +30,7 @@ use hatt_fermion::{FermionOperator, HamiltonianDelta, MajoranaSum};
 use hatt_mappings::SelectionPolicy;
 use hatt_pauli::PauliSum;
 
-use crate::algorithm::{HattMapping, HattOptions, Variant};
+use crate::algorithm::{check_policy, HattMapping, HattOptions, Variant};
 use crate::batch::{map_many_impl, MappingCache};
 use crate::error::HattError;
 use crate::store::{StoreTier, StoreTierStats};
@@ -94,10 +94,11 @@ impl Mapper {
         MapperBuilder::default()
     }
 
-    /// A mapper from pre-validated [`HattOptions`] (every `HattOptions`
-    /// value is valid by construction, so this cannot fail) and an
-    /// unbounded cache. [`Mapper::builder`] also configures the cache
-    /// and the store tier.
+    /// A mapper from [`HattOptions`] and an unbounded cache.
+    /// [`Mapper::builder`] also configures the cache and the store tier,
+    /// and refuses invalid options up front; here a policy width
+    /// outside 1 to 64 surfaces as [`HattError::InvalidPolicy`] from
+    /// each construction instead.
     pub fn with_options(options: HattOptions) -> Mapper {
         Mapper {
             options,
@@ -136,7 +137,9 @@ impl Mapper {
     ///
     /// # Errors
     ///
-    /// [`HattError::EmptyHamiltonian`] when `h` has zero modes.
+    /// [`HattError::EmptyHamiltonian`] when `h` has zero modes;
+    /// [`HattError::InvalidPolicy`] when a [`Mapper::with_options`]
+    /// handle's policy width is outside 1 to 64.
     pub fn map(&self, h: &MajoranaSum) -> Result<HattMapping, HattError> {
         self.cache.try_get_or_build(h, &self.options)
     }
@@ -266,7 +269,9 @@ impl MapperBuilder {
     }
 
     /// Selects the triple-selection policy (default:
-    /// [`SelectionPolicy::Greedy`]).
+    /// [`SelectionPolicy::Greedy`]). A `lookahead` or `beam` width
+    /// outside 1 to 64, which the policy's text form cannot carry,
+    /// fails [`MapperBuilder::build`] with [`HattError::InvalidPolicy`].
     pub fn policy(mut self, policy: SelectionPolicy) -> Self {
         self.policy = policy;
         self.policy_str = None;
@@ -327,7 +332,10 @@ impl MapperBuilder {
     pub fn build(self) -> Result<Mapper, HattError> {
         let policy = match &self.policy_str {
             Some(s) => s.parse::<SelectionPolicy>()?,
-            None => self.policy,
+            None => {
+                check_policy(self.policy)?;
+                self.policy
+            }
         };
         if self.threads == Some(0) {
             return Err(HattError::InvalidThreads);

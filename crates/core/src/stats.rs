@@ -53,7 +53,8 @@ pub struct ConstructionStats {
     /// Total wall-clock construction time.
     pub elapsed: Duration,
     /// Pairwise-intersection memo hits inside the selection kernel
-    /// (0 when the naive ablation path was used).
+    /// (0 when the naive ablation path was used, and on sparse inputs,
+    /// whose default score table fills by walking live roots).
     pub memo_hits: u64,
     /// Pairwise-intersection memo misses (fresh popcounts computed).
     pub memo_misses: u64,

@@ -12,7 +12,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use hatt_core::{HattMapping, HattOptions, IterationStats, Mapper, Variant};
-use hatt_fermion::models::FermiHubbard;
+use hatt_fermion::models::{molecule_catalog, random_hermitian, FermiHubbard};
 use hatt_fermion::{FermionOperator, HamiltonianDelta, MajoranaSum};
 use hatt_mappings::SelectionPolicy;
 use hatt_pauli::Complex64;
@@ -152,4 +152,54 @@ fn paired_remap_walks_the_tree_like_a_fresh_build() {
     assert_eq!(fresh.stats().total_traversal_steps(), 2406);
     let steps = |m: &HattMapping| per_step(m, |it| it.traversal_steps);
     assert_eq!(steps(&remap), steps(&fresh));
+}
+
+fn molecule(name: &str) -> MajoranaSum {
+    let spec = molecule_catalog()
+        .into_iter()
+        .find(|m| m.name == name)
+        .unwrap();
+    let mut h = MajoranaSum::from_fermion(&spec.hamiltonian());
+    let _ = h.take_identity();
+    h.prune(1e-10);
+    h
+}
+
+/// A `Cached` greedy build fills its score table by walking each term's
+/// live roots when a Majorana sits in few terms, and entry by entry
+/// through the pair memo otherwise. The memo counters show which fill
+/// ran: a walked build never touches the memo.
+#[test]
+fn sparse_inputs_walk_live_roots_and_dense_inputs_fill_through_the_pair_memo() {
+    let mut periodic = FermiHubbard::new(7, 7);
+    periodic.periodic = true;
+    let mut periodic = MajoranaSum::from_fermion(&periodic.hamiltonian());
+    let _ = periodic.take_identity();
+    let walked = [
+        ("Hubbard 7x7", hubbard(7, 7)),
+        ("Hubbard 7x7 periodic", periodic),
+        ("uniform singles 64", MajoranaSum::uniform_singles(64)),
+    ];
+    for (name, h) in walked {
+        let m = build(&h, variant(Variant::Cached));
+        let stats = m.stats();
+        assert!(stats.total_candidates() > 0, "{name}");
+        assert_eq!((stats.memo_hits, stats.memo_misses), (0, 0), "{name}");
+    }
+    // Table I molecules, and Fig. 12's dense shape at N = 64, where
+    // each Majorana sits in ~70 terms or more.
+    let mut fig12 = MajoranaSum::from_fermion(&random_hermitian(64, 128, 256, 64));
+    let _ = fig12.take_identity();
+    let memoized = [
+        ("LiH", molecule("LiH sto3g")),
+        ("H2O", molecule("H2O sto3g")),
+        ("Fig. 12 N = 64", fig12),
+    ];
+    for (name, h) in memoized {
+        let m = build(&h, variant(Variant::Cached));
+        assert!(m.stats().memo_hits > 0, "{name}");
+    }
+    // The reference scans score through the memo whatever the shape.
+    let paired = build(&hubbard(3, 3), variant(Variant::Paired));
+    assert!(paired.stats().memo_hits > 0);
 }

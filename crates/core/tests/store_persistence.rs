@@ -13,7 +13,7 @@
 
 use std::path::PathBuf;
 
-use hatt_core::Mapper;
+use hatt_core::{HattError, HattOptions, Mapper};
 use hatt_fermion::models::random_hermitian;
 use hatt_fermion::{HamiltonianDelta, MajoranaSum};
 use hatt_mappings::SelectionPolicy;
@@ -272,4 +272,63 @@ fn the_store_serves_repeats_even_with_the_memory_cache_disabled() {
     let stats = mapper.store_stats().unwrap();
     assert_eq!((stats.hits, stats.writes), (1, 1));
     let _ = std::fs::remove_file(&path);
+}
+
+/// Store records and `map_item` lines carry the policy as text, and the
+/// text form names widths 1 to 64 only. A typed policy outside that
+/// range is refused before it can build, so it never writes a record
+/// that no reader could load.
+#[test]
+fn a_policy_width_its_text_cannot_name_is_refused_and_never_stored() {
+    let h = MajoranaSum::uniform_singles(3);
+    let unwritable = [
+        SelectionPolicy::Beam { width: 65 },
+        SelectionPolicy::Beam { width: 0 },
+        SelectionPolicy::Lookahead { width: 0 },
+        SelectionPolicy::Lookahead { width: 65 },
+    ];
+    for policy in unwritable {
+        let path = store_path("unwritable");
+        let built = Mapper::builder().policy(policy).store_path(&path).build();
+        assert!(
+            matches!(built, Err(HattError::InvalidPolicy(_))),
+            "{policy:?}: {built:?}"
+        );
+        assert!(
+            !path.exists(),
+            "{policy:?}: a refused builder opened its store"
+        );
+        let unchecked = Mapper::with_options(HattOptions::with_policy(policy));
+        assert!(
+            matches!(unchecked.map(&h), Err(HattError::InvalidPolicy(_))),
+            "{policy:?}: with_options built"
+        );
+    }
+
+    // A store-backed handle asked to build under such a policy writes
+    // nothing, and still stores its own constructions.
+    let path = store_path("unwritable-tier");
+    let mapper = Mapper::builder().store_path(&path).build().unwrap();
+    let beam = HattOptions::with_policy(SelectionPolicy::Beam { width: 65 });
+    assert!(matches!(
+        mapper.cache().try_get_or_build(&h, &beam),
+        Err(HattError::InvalidPolicy(_))
+    ));
+    let stats = mapper.store_stats().unwrap();
+    assert_eq!((stats.writes, stats.entries), (0, 0));
+    mapper.map(&h).unwrap();
+    assert_eq!(mapper.store_stats().unwrap().writes, 1);
+    let _ = std::fs::remove_file(&path);
+
+    // Every width the text form names round-trips and builds.
+    for width in 1..=64 {
+        for policy in [
+            SelectionPolicy::Beam { width },
+            SelectionPolicy::Lookahead { width },
+        ] {
+            assert_eq!(policy.to_string().parse(), Ok(policy));
+            let mapper = Mapper::builder().policy(policy).build().unwrap();
+            assert_eq!(mapper.options().policy, policy);
+        }
+    }
 }

@@ -43,10 +43,17 @@
 //! touching the mutated node are recomputed). Inside a selection loop
 //! evaluating `Ω(|U|²)` candidates over `|U|` stable nodes, every
 //! evaluation after the first visit of a pair is O(1) instead of
-//! O(T/64) — this is what pushes the Figure 12 sweep to the paper's
-//! N≈100 regime. [`TermEngine::weight_of_triple_memo`] is the memoized
+//! O(T/64). [`TermEngine::weight_of_triple_memo`] is the memoized
 //! entry point; the allocation-free one-pass kernel stays available as
 //! [`TermEngine::weight_of_triple`].
+//!
+//! The memo serves the passes that score candidate by candidate: the
+//! `Paired` and `Unopt` scans, the lookahead, the beam, and the score
+//! table of `hatt-core`'s default pass on dense inputs. On sparse
+//! inputs that table fills whole rows and columns by walking each
+//! term's live roots instead (from [`TermEngine::incidence`] and
+//! [`TermEngine::node_count`]) and leaves the memo unallocated, so
+//! [`TermEngine::memo_stats`] reads `(0, 0)`.
 //!
 //! ## Threading
 //!
