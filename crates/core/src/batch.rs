@@ -422,8 +422,9 @@ pub struct MappingCache {
     /// disk latency never blocks probes of other structures).
     store: Option<StoreTier>,
     /// Real constructions run (selection work actually done): misses of
-    /// *both* tiers, session edits included. The persistence smoke test
-    /// pins this at zero for a fully warm-started daemon.
+    /// *both* tiers that returned a mapping, session edits included. The
+    /// persistence smoke test pins this at zero for a fully warm-started
+    /// daemon.
     constructions: AtomicU64,
 }
 
@@ -486,15 +487,19 @@ impl MappingCache {
     /// Real constructions run — probes that missed *every* tier and did
     /// the full selection work, whether they came from `map`, a batch
     /// or a session edit ([`Mapper::remap`](crate::Mapper::remap)).
+    /// Only a pass that returns a mapping counts: input the construction
+    /// refuses (no modes, an invalid policy) counts nothing.
     /// `misses() - constructions()` is the work the store tier saved.
     pub fn constructions(&self) -> u64 {
         self.constructions.load(Ordering::Relaxed)
     }
 
-    /// Runs a real construction (both tiers missed), counting it.
+    /// Runs a real construction (both tiers missed), counting it once it
+    /// returns a mapping.
     fn construct(&self, h: &MajoranaSum, options: &HattOptions) -> Result<HattMapping, HattError> {
+        let mapping = span("construct", || hatt_with_impl(h, options))?;
         self.constructions.fetch_add(1, Ordering::Relaxed);
-        span("construct", || hatt_with_impl(h, options))
+        Ok(mapping)
     }
 
     /// The configured entry bound (`None` = unbounded).

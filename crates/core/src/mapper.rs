@@ -401,6 +401,9 @@ mod tests {
             }
             other => panic!("expected BatchItem, got {other:?}"),
         }
+        // Only the batch's paper example was built; a refused input is
+        // no construction.
+        assert_eq!(mapper.cache().constructions(), 1);
     }
 
     #[test]

@@ -303,6 +303,11 @@ fn a_policy_width_its_text_cannot_name_is_refused_and_never_stored() {
             matches!(unchecked.map(&h), Err(HattError::InvalidPolicy(_))),
             "{policy:?}: with_options built"
         );
+        assert_eq!(
+            unchecked.cache().constructions(),
+            0,
+            "{policy:?}: a refused build counted"
+        );
     }
 
     // A store-backed handle asked to build under such a policy writes
@@ -316,8 +321,10 @@ fn a_policy_width_its_text_cannot_name_is_refused_and_never_stored() {
     ));
     let stats = mapper.store_stats().unwrap();
     assert_eq!((stats.writes, stats.entries), (0, 0));
+    assert_eq!(mapper.cache().constructions(), 0);
     mapper.map(&h).unwrap();
     assert_eq!(mapper.store_stats().unwrap().writes, 1);
+    assert_eq!(mapper.cache().constructions(), 1);
     let _ = std::fs::remove_file(&path);
 
     // Every width the text form names round-trips and builds.

@@ -13,7 +13,9 @@
 //!   address is printed either way as `hattd listening on <addr>`).
 //! * `--route` — **shard router mode**: serve the same wire protocol,
 //!   but forward each request item to the listed shard daemon that owns
-//!   the item's structure key on a consistent-hash ring. Per-shard
+//!   the item's structure key on a consistent-hash ring. A `map_delta`
+//!   is applied on arrival and routed by its post-delta structure, so
+//!   each edit is cached and stored on that structure's owner. Per-shard
 //!   health appears in `stats`; mapping flags (`--store`, `--cache`,
 //!   `--policy`, …) are ignored — the shards own the mapping.
 //! * `--event-workers` — event-loop worker threads multiplexing the

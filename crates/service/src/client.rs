@@ -55,9 +55,11 @@ pub fn request_streaming(
 
 /// Sends a [`MapDeltaRequest`] — a base Hamiltonian plus a structural
 /// delta — and collects the single-item response. The daemon applies
-/// the delta and maps the result like any request item: a structure it
-/// already knows is replayed, any other is built and counted in
-/// `stats.constructions`.
+/// the delta as the line arrives and serves the one-item `map_request`
+/// it names: a structure it already knows is replayed, any other is
+/// built and counted in `stats.constructions`. A router sends it to
+/// the shard that owns the post-delta structure. A delta that does not
+/// apply comes back as one error item with code `delta`.
 ///
 /// # Examples
 ///

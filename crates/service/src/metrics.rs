@@ -65,7 +65,8 @@ pub(crate) struct Metrics {
     /// `map_request` lines accepted by the reactor (parse failures and
     /// overload rejections excluded).
     pub(crate) verb_map: AtomicU64,
-    /// `map_delta` lines accepted by the reactor.
+    /// `map_delta` lines accepted by the reactor, each submitted as the
+    /// `map_request` it names or answered with its `delta` error.
     pub(crate) verb_delta: AtomicU64,
     /// `stats_request` lines answered.
     pub(crate) verb_stats: AtomicU64,
@@ -77,7 +78,7 @@ pub(crate) struct Metrics {
     pub(crate) connections_rejected: AtomicU64,
     /// Request lines discarded for exceeding `max_line_bytes`.
     pub(crate) oversize_lines: AtomicU64,
-    /// Map requests accepted into the scheduler.
+    /// Map requests accepted by the backend (scheduler or shard queues).
     pub(crate) requests: AtomicU64,
     /// Queued items skipped because their connection hung up before
     /// they were dispatched — work the disconnect cancellation saved.

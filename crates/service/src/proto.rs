@@ -233,11 +233,15 @@ impl MapRequest {
 }
 
 /// A session-edit request (`kind: "map_delta"`): a base Hamiltonian
-/// plus a structural [`HamiltonianDelta`] to apply to it. The daemon
-/// maps the post-delta Hamiltonian like any request item and answers
-/// with one `map_item` for it and a `map_done` line —
-/// the same response shape as a one-item [`MapRequest`], so existing
-/// response parsers work unchanged.
+/// plus a structural [`HamiltonianDelta`] to apply to it. A HATT tree
+/// depends only on the term structure, so an edit is just the
+/// post-delta Hamiltonian to map: the daemon applies the delta as the
+/// line arrives and serves the one-item [`MapRequest`] that results,
+/// under the same id, options and trace context. The reply is that
+/// request's: one `map_item` and a `map_done` line. A router places the
+/// edit on the shard that owns the post-delta structure. A delta that
+/// does not apply is answered on arrival with one `map_item` at index 0
+/// carrying code `delta`.
 ///
 /// # Examples
 ///
@@ -347,6 +351,27 @@ impl MapDeltaRequest {
         match RequestLine::read_line(line) {
             Ok(RequestLine::Delta(req)) => Ok(req),
             _ => Self::decode(&Json::parse(line)?),
+        }
+    }
+
+    /// The `map_request` this edit names: the post-delta Hamiltonian as
+    /// its one item, under the same id, options and trace context. A
+    /// delta that does not apply returns the item that answers it
+    /// instead: index 0, code `delta`.
+    pub(crate) fn into_map_request(self) -> Result<MapRequest, Box<MapItem>> {
+        match self.delta.apply(&self.hamiltonian) {
+            Ok(next) => Ok(MapRequest {
+                id: self.id,
+                options: self.options,
+                n_modes: None,
+                trace: self.trace,
+                hamiltonians: vec![next],
+            }),
+            Err(e) => Err(Box::new(MapItem {
+                id: self.id,
+                index: Some(0),
+                payload: ItemPayload::Err(ItemError::from_hatt(&HattError::from(e))),
+            })),
         }
     }
 }
@@ -774,7 +799,9 @@ pub struct ShardStats {
     pub healthy: bool,
     /// Jobs accepted for this shard, not yet forwarded.
     pub queue_depth: usize,
-    /// Items relayed back from this shard since boot.
+    /// Items relayed back from this shard since boot. A `map_delta`
+    /// whose delta does not apply is answered by the router itself and
+    /// never counts here.
     pub forwarded: u64,
     /// Forward attempts answered with typed errors instead (shard
     /// unreachable or mid-response failure after retry).
@@ -789,7 +816,8 @@ pub struct ShardStats {
 pub struct VerbCounters {
     /// `map_request` lines accepted (parse failures excluded).
     pub map: u64,
-    /// `map_delta` lines accepted.
+    /// `map_delta` lines accepted, including edits whose delta does not
+    /// apply (answered with a `delta` error item).
     pub map_delta: u64,
     /// `stats_request` lines answered.
     pub stats: u64,
@@ -832,10 +860,14 @@ pub struct StatsReply {
     pub connections_rejected: u64,
     /// Request lines discarded for exceeding the line-length cap.
     pub oversize_lines: u64,
-    /// Map requests accepted into the scheduler since boot.
+    /// Map requests accepted into the scheduler (or, on a router, into
+    /// the shard queues) since boot, `map_delta` edits included. An edit
+    /// whose delta does not apply is answered before it reaches either,
+    /// so it counts only under `verbs.map_delta`.
     pub requests: u64,
-    /// Real constructions run (both cache tiers missed), `map_delta`
-    /// edits included.
+    /// Real constructions run (both cache tiers missed and the build
+    /// returned a mapping), `map_delta` edits included. Input a build
+    /// refuses, such as a zero-mode Hamiltonian, counts nothing.
     pub constructions: u64,
     /// Retired: a `map_delta` edit is counted in `constructions` like
     /// any other build, so daemons always report 0. The wire key stays
@@ -1545,6 +1577,33 @@ mod tests {
             RequestLine::Delta(d) => assert_eq!(d.id, "d1"),
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn a_delta_request_names_the_map_request_of_its_edit() {
+        let base = sample_hams().remove(0);
+        let mut delta = hatt_fermion::HamiltonianDelta::new(base.n_modes());
+        delta.push_add(Complex64::real(0.25), &[0, 2]).unwrap();
+        let mut req = MapDeltaRequest::new("d1", base.clone(), delta.clone());
+        req.options = Some(HattOptions::with_policy(SelectionPolicy::Vanilla));
+        req.trace = Some(TraceCtx {
+            trace_id: 7,
+            parent_span: 9,
+        });
+        let map = req.clone().into_map_request().unwrap();
+        assert_eq!(
+            (map.id.as_str(), map.options, map.n_modes),
+            ("d1", req.options, None)
+        );
+        assert_eq!(map.trace, req.trace);
+        assert_eq!(map.hamiltonians, [delta.apply(&base).unwrap()]);
+
+        // Removing a term the base lacks does not apply: the answer is
+        // the `delta` error item at index 0.
+        req.delta = delta.inverted();
+        let item = req.into_map_request().unwrap_err();
+        assert_eq!((item.id.as_str(), item.index), ("d1", Some(0)));
+        assert_eq!(item.error().unwrap().code, "delta");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! ```text
 //! acceptor ──(stream+slot)──▶ worker intake ──▶ Conn {
 //!     read:  kernel ─▶ LineScanner (bounded, incremental) ─▶ pending queue
-//!     serve: pending ─▶ Backend::submit_* ─▶ scheduler / shard queues
+//!     serve: pending ─▶ Backend::submit_map ─▶ scheduler / shard queues
 //!     done:  completions channel ─(ConnSink wake)─▶ write buffer
 //!     write: write buffer ─▶ kernel, drained on POLLOUT readiness
 //! }
@@ -55,8 +55,8 @@ use hatt_trace::{now_ns, TraceCtx, Tracer};
 use crate::error::ServiceError;
 use crate::metrics::{ConnectionSlot, Metrics};
 use crate::proto::{
-    ItemError, ItemPayload, MapDeltaRequest, MapDone, MapItem, MapRequest, RequestLine, StatsReply,
-    TraceDumpReply, TraceDumpRequest,
+    ItemError, ItemPayload, MapDone, MapItem, MapRequest, RequestLine, StatsReply, TraceDumpReply,
+    TraceDumpRequest,
 };
 
 /// Parsed-but-unserved lines a connection may queue before its reads
@@ -84,18 +84,11 @@ pub(crate) trait Backend: Send + Sync + 'static {
     /// is the request's context parented on its root span; the backend
     /// nests its own spans (queue wait, forward hop, …) beneath it. The
     /// backend owns the request: its Hamiltonians move into the queued
-    /// work, never copied.
+    /// work, never copied. The one submission method: a `map_delta`
+    /// line arrives here as the `map_request` it names.
     fn submit_map(
         &self,
         req: MapRequest,
-        sink: &ConnSink,
-        trace: Option<TraceCtx>,
-    ) -> Result<usize, ServiceError>;
-    /// Starts serving a `map_delta` request: a base Hamiltonian plus a
-    /// delta, mapped as one item (same contract).
-    fn submit_delta(
-        &self,
-        req: MapDeltaRequest,
         sink: &ConnSink,
         trace: Option<TraceCtx>,
     ) -> Result<usize, ServiceError>;
@@ -787,11 +780,23 @@ fn serve_pending(
                     let submitted = backend.submit_map(req, &conn.sink, trace.map(|t| t.ctx()));
                     start_response(conn, id, &metrics.verb_map, submitted, trace, tracer);
                 }
+                // An edit is served as the `map_request` it names; one
+                // whose delta does not apply is answered right here.
                 RequestLine::Delta(req) => {
                     let trace = observe_queue_wait(tracer, trace);
-                    let id = req.id.clone();
-                    let submitted = backend.submit_delta(req, &conn.sink, trace.map(|t| t.ctx()));
-                    start_response(conn, id, &metrics.verb_delta, submitted, trace, tracer);
+                    match req.into_map_request() {
+                        Ok(req) => {
+                            let id = req.id.clone();
+                            let submitted =
+                                backend.submit_map(req, &conn.sink, trace.map(|t| t.ctx()));
+                            start_response(conn, id, &metrics.verb_delta, submitted, trace, tracer);
+                        }
+                        Err(item) => {
+                            let id = item.id.clone();
+                            start_response(conn, id, &metrics.verb_delta, Ok(1), trace, tracer);
+                            on_item(conn, *item, tracer);
+                        }
+                    }
                 }
             },
         }

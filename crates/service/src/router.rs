@@ -1,7 +1,9 @@
 //! The consistent-hash shard router behind `hattd --route`: a reactor
 //! front-end (same event loop as the local server) whose backend fans
 //! each request item out to the shard that owns the item's canonical
-//! structure key, instead of a local scheduler.
+//! structure key, instead of a local scheduler. A `map_delta` edit
+//! reaches the backend as the `map_request` it names, so it is routed,
+//! cached and stored by its post-delta structure like any item.
 //!
 //! ## Why hash the structure key
 //!
@@ -17,10 +19,11 @@
 //! ## Data flow and backpressure
 //!
 //! ```text
-//! client ──▶ router reactor ──(group items by ring owner)──▶ per-shard
-//!   bounded queue ──▶ forwarder thread (persistent connection, one
-//!   retry on transport error) ──▶ shard hattd ──▶ items stream back,
-//!   indices translated to the client's, into the client's ConnSink
+//! client ──▶ router reactor (a map_delta becomes its map_request)
+//!   ──(group items by ring owner)──▶ per-shard bounded queue
+//!   ──▶ forwarder thread (persistent connection, one retry on
+//!   transport error) ──▶ shard hattd ──▶ items stream back, indices
+//!   translated to the client's, into the client's ConnSink
 //! ```
 //!
 //! A full shard queue **sheds** that shard's slice of the request with
@@ -46,8 +49,7 @@ use hatt_trace::{now_ns, TraceCtx, Tracer};
 use crate::error::ServiceError;
 use crate::metrics::Metrics;
 use crate::proto::{
-    write_line, ItemError, ItemPayload, MapDeltaRequest, MapItem, MapRequest, ResponseLine,
-    ShardStats, StatsReply,
+    write_line, ItemError, ItemPayload, MapItem, MapRequest, ResponseLine, ShardStats, StatsReply,
 };
 use crate::reactor::{Backend, ConnSink};
 
@@ -92,63 +94,18 @@ impl HashRing {
     }
 }
 
-/// One unit of forwarding work: a sub-request bound for one shard.
+/// One unit of forwarding work: a slice of a request bound for one
+/// shard.
 struct ShardJob {
-    payload: ShardPayload,
+    sub: MapRequest,
+    /// `orig[i]` is the client-side index of the sub-request's item `i`.
+    orig: Vec<usize>,
     sink: ConnSink,
     /// The originating request's trace context (parent = the router's
     /// root request span). The forwarder mints a `route.forward` span
     /// under it and stamps *that* span as the sub-request's `trace_ctx`
     /// parent, linking the shard's span tree into the router's.
     trace: Option<TraceCtx>,
-}
-
-enum ShardPayload {
-    /// A slice of a batch request; `orig[i]` is the client-side index
-    /// of the sub-request's item `i`.
-    Map { sub: MapRequest, orig: Vec<usize> },
-    /// A whole remap request, routed by its base structure's key.
-    Delta(MapDeltaRequest),
-}
-
-impl ShardJob {
-    fn item_count(&self) -> usize {
-        match &self.payload {
-            ShardPayload::Map { orig, .. } => orig.len(),
-            ShardPayload::Delta(_) => 1,
-        }
-    }
-
-    fn id(&self) -> &str {
-        match &self.payload {
-            ShardPayload::Map { sub, .. } => &sub.id,
-            ShardPayload::Delta(req) => &req.id,
-        }
-    }
-
-    /// Translates a sub-request item index back to the client's.
-    fn orig_index(&self, i: usize) -> Option<usize> {
-        match &self.payload {
-            ShardPayload::Map { orig, .. } => orig.get(i).copied(),
-            ShardPayload::Delta(_) => (i == 0).then_some(0),
-        }
-    }
-
-    fn to_line(&self) -> String {
-        match &self.payload {
-            ShardPayload::Map { sub, .. } => sub.to_line(),
-            ShardPayload::Delta(req) => req.to_line(),
-        }
-    }
-
-    /// Sets the sub-request's on-wire `trace_ctx` (the forward span the
-    /// shard's spans should hang off).
-    fn set_forward_ctx(&mut self, ctx: TraceCtx) {
-        match &mut self.payload {
-            ShardPayload::Map { sub, .. } => sub.trace = Some(ctx),
-            ShardPayload::Delta(req) => req.trace = Some(ctx),
-        }
-    }
 }
 
 /// The bounded job queue in front of one forwarder thread.
@@ -285,11 +242,11 @@ impl RouterBackend {
         shard
             .counters
             .shed
-            .fetch_add(job.item_count() as u64, Ordering::Relaxed);
+            .fetch_add(job.orig.len() as u64, Ordering::Relaxed);
         let e = ServiceError::Overloaded;
-        for index in (0..job.item_count()).filter_map(|i| job.orig_index(i)) {
+        for &index in &job.orig {
             job.sink.send(MapItem {
-                id: job.id().to_string(),
+                id: job.sub.id.clone(),
                 index: Some(index),
                 payload: ItemPayload::Err(ItemError {
                     code: e.code().to_string(),
@@ -342,7 +299,8 @@ impl Backend for RouterBackend {
                 trace: None,
             };
             let job = ShardJob {
-                payload: ShardPayload::Map { sub, orig },
+                sub,
+                orig,
                 sink: sink.clone(),
                 trace,
             };
@@ -351,34 +309,6 @@ impl Backend for RouterBackend {
             }
         }
         Ok(items)
-    }
-
-    fn submit_delta(
-        &self,
-        mut req: MapDeltaRequest,
-        sink: &ConnSink,
-        trace: Option<TraceCtx>,
-    ) -> Result<usize, ServiceError> {
-        self.metrics.requests.fetch_add(1, Ordering::Relaxed);
-        // Route by the *base* structure, so a session's edits land on
-        // the shard that owns its base. The shard caches and stores the
-        // post-delta structure there, not on the shard that owns it.
-        let hash_start = trace.map(|_| now_ns()).unwrap_or_default();
-        let shard = &self.shards[self.ring.owner(structure_key(&req.hamiltonian))];
-        if let Some(ctx) = trace {
-            self.tracer
-                .record_span(ctx, "route.hash", hash_start, now_ns());
-        }
-        req.trace = None;
-        let job = ShardJob {
-            payload: ShardPayload::Delta(req),
-            sink: sink.clone(),
-            trace,
-        };
-        if let Err(job) = shard.queue.try_push(job) {
-            self.shed(shard, &job);
-        }
-        Ok(1)
     }
 
     /// Constructions, caches and latency histograms live on the shards
@@ -455,7 +385,7 @@ fn forwarder_loop(
             // the round trip entirely.
             metrics
                 .items_cancelled
-                .fetch_add(job.item_count() as u64, Ordering::Relaxed);
+                .fetch_add(job.orig.len() as u64, Ordering::Relaxed);
             continue;
         }
         // The forward-hop span id is minted *before* the sub-request is
@@ -463,7 +393,7 @@ fn forwarder_loop(
         // cross-process seam of a trace.
         let forward = job.trace.filter(|_| tracer.is_enabled()).map(|ctx| {
             let span_id = tracer.alloc_span_id();
-            job.set_forward_ctx(TraceCtx {
+            job.sub.trace = Some(TraceCtx {
                 trace_id: ctx.trace_id,
                 parent_span: span_id,
             });
@@ -472,7 +402,7 @@ fn forwarder_loop(
         // `answered` survives the retry so a mid-response reconnect
         // never double-sends an index (the shard's cache makes the
         // replayed sub-request cheap).
-        let mut answered = vec![false; job.item_count()];
+        let mut answered = vec![false; job.orig.len()];
         let mut outcome = Err(ServiceError::Protocol("never attempted".into()));
         for attempt in 0..2 {
             let retry_start = if attempt > 0 { now_ns() } else { 0 };
@@ -512,13 +442,10 @@ fn forwarder_loop(
                     code: e.code().to_string(),
                     message: format!("shard {addr} unavailable: {e}"),
                 };
-                for (i, done) in answered.iter().enumerate() {
-                    if *done {
-                        continue;
-                    }
-                    if let Some(index) = job.orig_index(i) {
+                for (&index, done) in job.orig.iter().zip(&answered) {
+                    if !done {
                         job.sink.send(MapItem {
-                            id: job.id().to_string(),
+                            id: job.sub.id.clone(),
                             index: Some(index),
                             payload: ItemPayload::Err(error.clone()),
                         });
@@ -538,7 +465,7 @@ fn forward_once(
     answered: &mut [bool],
     counters: &ShardCounters,
 ) -> Result<(), ServiceError> {
-    write_line(&mut io.writer, job.to_line())?;
+    write_line(&mut io.writer, job.sub.to_line())?;
     let mut request_error: Option<ItemError> = None;
     let mut line = String::new();
     loop {
@@ -555,7 +482,7 @@ fn forward_once(
             ResponseLine::Item(mut item) => match item.index {
                 Some(i) if i < answered.len() && !answered[i] => {
                     answered[i] = true;
-                    item.index = job.orig_index(i);
+                    item.index = job.orig.get(i).copied();
                     counters.forwarded.fetch_add(1, Ordering::Relaxed);
                     job.sink.send(item);
                 }
@@ -574,14 +501,11 @@ fn forward_once(
         code: "internal".to_string(),
         message: "shard response did not cover this item".to_string(),
     });
-    for (i, done) in answered.iter_mut().enumerate() {
-        if *done {
-            continue;
-        }
-        *done = true;
-        if let Some(index) = job.orig_index(i) {
+    for (&index, done) in job.orig.iter().zip(answered.iter_mut()) {
+        if !*done {
+            *done = true;
             job.sink.send(MapItem {
-                id: job.id().to_string(),
+                id: job.sub.id.clone(),
                 index: Some(index),
                 payload: ItemPayload::Err(fallback.clone()),
             });
@@ -677,10 +601,8 @@ mod tests {
         let q = ShardQueue::new(2);
         let (worker, _completions) = crate::reactor::worker_pair().expect("pair");
         let mk = || ShardJob {
-            payload: ShardPayload::Map {
-                sub: MapRequest::new("r", vec![]),
-                orig: vec![],
-            },
+            sub: MapRequest::new("r", vec![]),
+            orig: vec![],
             sink: ConnSink::new(&worker),
             trace: None,
         };

@@ -1,5 +1,6 @@
 //! The bounded-queue request scheduler behind [`Server::bind`]: queues
-//! the items of every map and remap request, fans them onto
+//! the items of every map request (a `map_delta` line arrives as the
+//! `map_request` it names), fans them onto
 //! `vendor/parallel` scoped workers through the shared [`Mapper`]
 //! cache, and streams one [`MapItem`] per item **as it completes** into
 //! the requesting connection's [`ConnSink`].
@@ -37,16 +38,14 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use hatt_core::{HattError, HattMapping, HattOptions, Mapper};
-use hatt_fermion::{HamiltonianDelta, MajoranaSum};
+use hatt_fermion::MajoranaSum;
 use hatt_mappings::FermionMapping;
 use hatt_pauli::{PauliString, COEFF_EPS};
 use hatt_trace::{now_ns, TraceCtx, Tracer};
 
 use crate::error::ServiceError;
 use crate::metrics::Metrics;
-use crate::proto::{
-    ItemError, ItemPayload, MapDeltaRequest, MapItem, MapRequest, StatsReply, TierStats,
-};
+use crate::proto::{ItemError, ItemPayload, MapItem, MapRequest, StatsReply, TierStats};
 use crate::reactor::{Backend, ConnSink};
 
 /// Scheduler sizing.
@@ -70,22 +69,6 @@ impl Default for SchedulerConfig {
     }
 }
 
-/// The computation of one queued job.
-enum Work {
-    /// Map one Hamiltonian of a batch request.
-    Map {
-        index: usize,
-        h: MajoranaSum,
-        expected_modes: Option<usize>,
-    },
-    /// Apply a structural delta to a base Hamiltonian and map the
-    /// result through the cache, like any other item.
-    Remap {
-        hamiltonian: MajoranaSum,
-        delta: HamiltonianDelta,
-    },
-}
-
 /// The trace identity a traced job carries through the queue: the
 /// request's context (parented on its root span) plus the enqueue
 /// timestamp, so dispatch can emit the `sched.wait` span retroactively.
@@ -98,7 +81,11 @@ struct JobTrace {
 struct Job {
     id: String,
     options: HattOptions,
-    work: Work,
+    /// The item's position in its request.
+    index: usize,
+    h: MajoranaSum,
+    /// The request's mode pin, if any.
+    expected_modes: Option<usize>,
     sink: ConnSink,
     trace: Option<JobTrace>,
 }
@@ -253,44 +240,6 @@ impl Scheduler {
     fn queue_len(&self) -> usize {
         self.shared.lock().jobs.len()
     }
-
-    /// Queues one request's `work` under its connection's fairness
-    /// bucket, or sheds the whole request when it does not fit. Returns
-    /// the number of items the caller should await.
-    fn enqueue(
-        &self,
-        id: &str,
-        options: Option<HattOptions>,
-        work: Vec<Work>,
-        sink: &ConnSink,
-        trace: Option<TraceCtx>,
-    ) -> Result<usize, ServiceError> {
-        let options = options.unwrap_or(*self.shared.mapper.options());
-        let enqueued_ns = trace.map(|_| now_ns()).unwrap_or_default();
-        let n = work.len();
-        let mut state = self.shared.lock();
-        if state.shutdown {
-            return Err(ServiceError::ShuttingDown);
-        }
-        if state.jobs.len() + n > self.shared.capacity {
-            return Err(ServiceError::Overloaded);
-        }
-        for work in work {
-            state.jobs.push(
-                sink.id(),
-                Job {
-                    id: id.to_string(),
-                    options,
-                    work,
-                    sink: sink.clone(),
-                    trace: trace.map(|ctx| JobTrace { ctx, enqueued_ns }),
-                },
-            );
-        }
-        self.shared.not_empty.notify_all();
-        self.shared.metrics.requests.fetch_add(1, Ordering::Relaxed);
-        Ok(n)
-    }
 }
 
 impl Backend for Scheduler {
@@ -302,38 +251,41 @@ impl Backend for Scheduler {
         &self.shared.tracer
     }
 
+    /// Queues the request's items under its connection's fairness
+    /// bucket, or sheds the whole request when they do not all fit.
     fn submit_map(
         &self,
         req: MapRequest,
         sink: &ConnSink,
         trace: Option<TraceCtx>,
     ) -> Result<usize, ServiceError> {
-        let work = req
-            .hamiltonians
-            .into_iter()
-            .enumerate()
-            .map(|(index, h)| Work::Map {
-                index,
-                h,
-                expected_modes: req.n_modes,
-            })
-            .collect();
-        self.enqueue(&req.id, req.options, work, sink, trace)
-    }
-
-    /// Runs the remap through the queue, like a one-item batch, so the
-    /// reactor worker stays free while it builds.
-    fn submit_delta(
-        &self,
-        req: MapDeltaRequest,
-        sink: &ConnSink,
-        trace: Option<TraceCtx>,
-    ) -> Result<usize, ServiceError> {
-        let work = vec![Work::Remap {
-            hamiltonian: req.hamiltonian,
-            delta: req.delta,
-        }];
-        self.enqueue(&req.id, req.options, work, sink, trace)
+        let options = req.options.unwrap_or(*self.shared.mapper.options());
+        let enqueued_ns = trace.map(|_| now_ns()).unwrap_or_default();
+        let n = req.hamiltonians.len();
+        let mut state = self.shared.lock();
+        if state.shutdown {
+            return Err(ServiceError::ShuttingDown);
+        }
+        if state.jobs.len() + n > self.shared.capacity {
+            return Err(ServiceError::Overloaded);
+        }
+        for (index, h) in req.hamiltonians.into_iter().enumerate() {
+            state.jobs.push(
+                sink.id(),
+                Job {
+                    id: req.id.clone(),
+                    options,
+                    index,
+                    h,
+                    expected_modes: req.n_modes,
+                    sink: sink.clone(),
+                    trace: trace.map(|ctx| JobTrace { ctx, enqueued_ns }),
+                },
+            );
+        }
+        self.shared.not_empty.notify_all();
+        self.shared.metrics.requests.fetch_add(1, Ordering::Relaxed);
+        Ok(n)
     }
 
     fn stats(&self, reply: &mut StatsReply) {
@@ -441,42 +393,22 @@ fn run_job(mapper: &Mapper, job: &Job, inner_threads: usize) -> MapItem {
         threads: Some(inner_threads),
         ..job.options
     };
-    let (index, payload) = match &job.work {
-        Work::Map {
-            index,
-            h,
-            expected_modes,
-        } => {
-            let result = check_modes(h, *expected_modes)
-                .and_then(|()| mapper.cache().try_get_or_build(h, &options));
-            (*index, to_payload(result, h))
-        }
-        Work::Remap { hamiltonian, delta } => {
-            let payload = match delta.apply(hamiltonian) {
-                Ok(next) => to_payload(mapper.cache().try_get_or_build(&next, &options), &next),
-                Err(e) => ItemPayload::Err(ItemError::from_hatt(&HattError::from(e))),
-            };
-            (0, payload)
-        }
-    };
-    MapItem {
-        id: job.id.clone(),
-        index: Some(index),
-        payload,
-    }
-}
-
-/// The item for `h`'s mapping, or its typed error.
-fn to_payload(result: Result<HattMapping, HattError>, h: &MajoranaSum) -> ItemPayload {
-    match result {
+    let result = check_modes(&job.h, job.expected_modes)
+        .and_then(|()| mapper.cache().try_get_or_build(&job.h, &options));
+    let payload = match result {
         Ok(mapping) => {
-            let pauli_weight = served_weight(&mapping, h);
+            let pauli_weight = served_weight(&mapping, &job.h);
             ItemPayload::Ok {
                 mapping,
                 pauli_weight,
             }
         }
         Err(e) => ItemPayload::Err(ItemError::from_hatt(&e)),
+    };
+    MapItem {
+        id: job.id.clone(),
+        index: Some(job.index),
+        payload,
     }
 }
 
@@ -518,8 +450,10 @@ mod tests {
     use std::sync::mpsc::Receiver;
     use std::time::Duration;
 
+    use hatt_fermion::HamiltonianDelta;
     use hatt_pauli::Complex64;
 
+    use crate::proto::MapDeltaRequest;
     use crate::reactor::worker_pair;
 
     fn start(config: SchedulerConfig) -> Scheduler {
@@ -844,7 +778,8 @@ mod tests {
                     let next = delta.apply(&h).unwrap();
                     let mut req = MapDeltaRequest::new(&tag, h.clone(), delta);
                     req.options = options;
-                    cached.submit_delta(req, &sink, None).unwrap();
+                    let req = req.into_map_request().unwrap();
+                    cached.submit_map(req, &sink, None).unwrap();
                     let items = collect(&completions, &sink, 1);
                     assert_served(&format!("{tag} remap"), &items[0], &next);
                     runs += 1;

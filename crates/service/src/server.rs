@@ -197,7 +197,8 @@ impl Server {
     /// Binds a **shard router**: instead of mapping locally, every
     /// request item is forwarded to the shard daemon that owns the
     /// item's canonical structure key on a consistent-hash ring (the
-    /// `router` module). The wire protocol is identical to a single
+    /// `router` module); a `map_delta` edit is routed by its post-delta
+    /// structure. The wire protocol is identical to a single
     /// daemon's — clients cannot tell the difference, except for the
     /// populated `shards` section in `stats`.
     pub fn bind_router(

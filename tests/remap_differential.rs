@@ -4,20 +4,29 @@
 //! **bit-identical** to a fresh `Mapper::map` of the post-delta
 //! Hamiltonian — tree, per-step settled weights, mapped Pauli sum and
 //! compiled CNOT/depth — for every policy of the selection portfolio,
-//! at 1/2/4 worker threads, and through the `hattd` socket as well as
-//! the in-process API. A remap is a map of the post-delta
-//! Hamiltonian, so each edit to a new structure is one construction.
+//! at 1/2/4 worker threads, and through the `hattd` socket (a single
+//! daemon, and a router over two shards) as well as the in-process API.
+//! A remap is a map of the post-delta Hamiltonian, so each edit to a
+//! new structure is one construction, cached where that structure is
+//! looked up.
 
 // Test-harness code unwraps freely; the no-panic contract covers library code only.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use hatt::circuit::{trotter_circuit, TermOrder};
-use hatt::core::{HattMapping, Mapper};
+use std::io::{BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::time::Duration;
+
+use hatt::core::{HattError, HattMapping, Mapper};
 use hatt::fermion::models::{molecule_catalog, random_hermitian, NeutrinoModel};
 use hatt::fermion::{FermionOperator, HamiltonianDelta, MajoranaSum};
 use hatt::mappings::{FermionMapping, SelectionPolicy};
 use hatt::pauli::Complex64;
-use hatt::service::{client, MapDeltaRequest, MapRequest, Server, ServerConfig};
+use hatt::service::{
+    client, ItemError, ItemPayload, MapDeltaRequest, MapDone, MapItem, MapRequest, Server,
+    ServerConfig, StatsReply,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -408,11 +417,86 @@ fn compose_and_undo_round_trips_are_bit_identical() {
     assert_equiv("undo", &base, &unwound, &original, true);
 }
 
-#[test]
-fn remap_chain_over_the_hattd_socket_is_bit_identical_and_builds_each_edit() {
-    let server = Server::bind("127.0.0.1:0", Mapper::new(), ServerConfig::default())
-        .expect("bind ephemeral port");
-    let addr = server.local_addr();
+/// The daemons a socket chain runs against: `front` reads the client's
+/// lines, `shards` build behind it. A single daemon is its own builder.
+struct Topology {
+    front: Server,
+    shards: Vec<Server>,
+}
+
+impl Topology {
+    fn single() -> Topology {
+        Topology {
+            front: Server::bind("127.0.0.1:0", Mapper::new(), ServerConfig::default())
+                .expect("bind ephemeral port"),
+            shards: Vec::new(),
+        }
+    }
+
+    /// A router over two shard daemons.
+    fn routed() -> Topology {
+        let shards: Vec<Server> = (0..2)
+            .map(|_| {
+                Server::bind("127.0.0.1:0", Mapper::new(), ServerConfig::default())
+                    .expect("bind shard")
+            })
+            .collect();
+        let addrs: Vec<String> = shards.iter().map(|s| s.local_addr().to_string()).collect();
+        let front = Server::bind_router("127.0.0.1:0", &addrs, ServerConfig::default())
+            .expect("bind router");
+        Topology { front, shards }
+    }
+
+    /// `(constructions, cache hits)` summed over the daemons that build.
+    fn totals(&self) -> (u64, u64) {
+        let builders = if self.shards.is_empty() {
+            std::slice::from_ref(&self.front)
+        } else {
+            &self.shards[..]
+        };
+        builders.iter().fold((0, 0), |(built, hits), daemon| {
+            let stats = client::stats(daemon.local_addr(), "probe").expect("stats");
+            (built + stats.constructions, hits + stats.cache.hits)
+        })
+    }
+
+    fn shutdown(self) {
+        self.front.shutdown();
+        for shard in self.shards {
+            shard.shutdown();
+        }
+    }
+}
+
+/// Writes one request line and reads the reply lines up to `map_done`.
+fn raw_reply(addr: SocketAddr, line: &str) -> Vec<String> {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    (&stream)
+        .write_all(format!("{line}\n").as_bytes())
+        .expect("send");
+    let mut reader = BufReader::new(stream);
+    let mut lines = Vec::new();
+    loop {
+        let mut reply = String::new();
+        assert!(reader.read_line(&mut reply).expect("reply") > 0, "EOF");
+        let done = reply.contains(r#""kind":"map_done""#);
+        lines.push(reply.trim_end().to_string());
+        if done {
+            return lines;
+        }
+    }
+}
+
+/// A 12-edit session over `topology`'s socket: every edit must match a
+/// fresh build, be built once, and be cached where a later
+/// `map_request` for its structure looks. A delta that does not apply
+/// must get the reply bytes a one-item request with a `delta` error
+/// gets, and reach no backend.
+fn socket_chain(topology: Topology) {
+    let addr = topology.front.local_addr();
     let base = preprocess(&NeutrinoModel::new(3, 2).hamiltonian());
 
     // Warm the daemon with the base structure (one cold construction).
@@ -422,7 +506,8 @@ fn remap_chain_over_the_hattd_socket_is_bit_identical_and_builds_each_edit() {
 
     let mut rng = StdRng::seed_from_u64(0x50CE);
     let mut current = base;
-    let k = 6usize;
+    let k = 12usize;
+    let mut edited = Vec::with_capacity(k);
     for step in 0..k {
         let delta = random_delta(&mut rng, &current);
         let next = delta.apply(&current).expect("applies");
@@ -446,11 +531,71 @@ fn remap_chain_over_the_hattd_socket_is_bit_identical_and_builds_each_edit() {
             fresh.map_majorana_sum(&next).weight(),
             "step {step}: socket remap compile weight drifted"
         );
+        edited.push(next.clone());
         current = next;
     }
 
     // The warm-up and each edit are one construction.
-    let stats = client::stats(addr, "probe").expect("stats");
-    assert_eq!(stats.constructions, (k + 1) as u64);
-    server.shutdown();
+    let (constructions, hits) = topology.totals();
+    assert_eq!(constructions, (k + 1) as u64);
+
+    // Each edit was cached where its structure is looked up: mapping
+    // every post-delta Hamiltonian again builds nothing.
+    let again = client::request(addr, &MapRequest::new("again", edited)).expect("re-map");
+    assert_eq!(again.done.errors, 0);
+    assert_eq!(
+        topology.totals(),
+        (constructions, hits + k as u64),
+        "a post-delta structure was not cached on the daemon that owns it"
+    );
+
+    // A delta that does not apply is answered with the bytes of a
+    // one-item reply whose item is the `delta` error.
+    let mut bogus = HamiltonianDelta::new(current.n_modes());
+    bogus
+        .push_remove(Complex64::real(999.0), &[0, 1, 2, 3])
+        .expect("delta term");
+    let error = bogus
+        .apply(&current)
+        .expect_err("the remove does not apply");
+    let expected = [
+        MapItem {
+            id: "bad".into(),
+            index: Some(0),
+            payload: ItemPayload::Err(ItemError::from_hatt(&HattError::from(error))),
+        }
+        .to_line(),
+        MapDone {
+            id: "bad".into(),
+            items: 1,
+            errors: 1,
+        }
+        .to_line(),
+    ];
+    assert!(expected[0].contains(r#""code":"delta""#), "{expected:?}");
+    let before = client::stats(addr, "before").expect("stats");
+    let line = MapDeltaRequest::new("bad", current, bogus).to_line();
+    assert_eq!(raw_reply(addr, &line), expected);
+
+    // It counts as a `map_delta` line, but no backend saw it.
+    let after = client::stats(addr, "after").expect("stats");
+    assert_eq!(after.verbs.map_delta, before.verbs.map_delta + 1);
+    assert_eq!(after.requests, before.requests);
+    let forwarded = |s: &StatsReply| s.shards.iter().map(|s| s.forwarded).sum::<u64>();
+    assert_eq!(forwarded(&after), forwarded(&before));
+    assert_eq!(topology.totals(), (constructions, hits + k as u64));
+    topology.shutdown();
+}
+
+#[test]
+fn remap_chain_over_the_hattd_socket_is_bit_identical_and_builds_each_edit() {
+    socket_chain(Topology::single());
+}
+
+/// The same session through a router: an edit is routed by its
+/// post-delta structure, so its cache entry lands on the shard a later
+/// `map_request` for that structure reaches.
+#[test]
+fn remap_chain_through_a_two_shard_router_caches_each_edit_on_its_owner() {
+    socket_chain(Topology::routed());
 }

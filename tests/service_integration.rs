@@ -729,7 +729,7 @@ fn router_sharded_roster_is_bit_identical_to_a_single_mapper() {
         assert!(validate(remote).is_valid(), "{name}: invalid via router");
     }
 
-    // A map_delta routed whole to the shard owning its base structure
+    // A map_delta, routed to the shard owning its post-delta structure,
     // matches a fresh in-process build as well. (A singles-only base, so
     // the added quartic term is genuinely new.)
     let base = MajoranaSum::uniform_singles(4);
