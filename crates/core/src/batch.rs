@@ -96,7 +96,7 @@ use hatt_fermion::MajoranaSum;
 use hatt_mappings::{NodeId, TernaryTree};
 use hatt_store::fnv1a64;
 // A free no-op unless the calling thread is inside a `Tracer::scope`
-// (the service's dispatch loop installs one per traced request): the
+// (a service scheduler worker installs one per traced job): the
 // cache tiers report where a request's time went without any plumbing
 // through these signatures.
 use hatt_trace::span;

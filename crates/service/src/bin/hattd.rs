@@ -20,9 +20,11 @@
 //!   `--policy`, …) are ignored — the shards own the mapping.
 //! * `--event-workers` — event-loop worker threads multiplexing the
 //!   connections (default: automatic).
-//! * `--threads` — worker cap for the scheduler and constructions
-//!   (default: `HATT_THREADS` / hardware count).
-//! * `--queue` — bounded scheduler queue capacity (default 256).
+//! * `--threads` — the scheduler's worker pool size, which also caps
+//!   the threads of constructions (default: `HATT_THREADS` / hardware
+//!   count).
+//! * `--queue` — bounded scheduler queue capacity (default 256); a
+//!   request with more items is refused with `invalid_request`.
 //! * `--cache` — LRU bound on the structure cache (default 64 entries;
 //!   `0` disables caching). With `--store`, an evicted structure
 //!   reloads from disk instead of being rebuilt.

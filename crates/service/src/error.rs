@@ -21,6 +21,14 @@ pub enum ServiceError {
     /// that cannot hold all of its items sheds it whole, and a
     /// connection beyond the cap is turned away.
     Overloaded,
+    /// The request has more items than the queue can ever hold, so it
+    /// is refused for good (`invalid_request`) instead of shed.
+    TooLarge {
+        /// Items in the request.
+        items: usize,
+        /// Most jobs the queue holds.
+        capacity: usize,
+    },
     /// The scheduler is shutting down.
     ShuttingDown,
 }
@@ -33,6 +41,7 @@ impl ServiceError {
             ServiceError::Wire(_) => "wire",
             ServiceError::Protocol(_) => "protocol",
             ServiceError::Overloaded => "overloaded",
+            ServiceError::TooLarge { .. } => "invalid_request",
             ServiceError::ShuttingDown => "shutting_down",
         }
     }
@@ -45,6 +54,10 @@ impl fmt::Display for ServiceError {
             ServiceError::Wire(e) => write!(f, "wire error: {e}"),
             ServiceError::Protocol(m) => write!(f, "protocol violation: {m}"),
             ServiceError::Overloaded => write!(f, "scheduler queue is full"),
+            ServiceError::TooLarge { items, capacity } => write!(
+                f,
+                "request of {items} items exceeds the queue capacity of {capacity}; split it"
+            ),
             ServiceError::ShuttingDown => write!(f, "service is shutting down"),
         }
     }

@@ -4,13 +4,14 @@
 //! request/response protocol over the `hatt-wire/1` JSON format and a
 //! std-only JSON-lines-over-TCP daemon ([`Server`], shipped as the
 //! `hattd` binary) with a matching [`client`] helper. Behind the
-//! daemon, a bounded-queue scheduler fans work onto scoped worker
-//! threads through the shared [`Mapper`](hatt_core::Mapper) cache.
+//! daemon, a bounded-queue scheduler runs each item on a pool of
+//! long-lived workers through the shared
+//! [`Mapper`](hatt_core::Mapper) cache.
 //!
 //! ```text
 //! client ──(map_request line)──▶ hattd event loop ──▶ Scheduler
 //!            non-blocking socket,      (bounded, fair queue)
-//!            readiness-multiplexed          │ par_map over workers
+//!            readiness-multiplexed          │ one job per pool worker
 //!                                           ▼
 //!                                  Mapper + MappingCache
 //!                                           │
@@ -23,7 +24,9 @@
 //! thread, no blocking write to a slow client. Each connection is its
 //! own fairness bucket in the scheduler's round-robin queue, and a
 //! request that queue cannot hold whole is shed with a typed
-//! `overloaded` error instead of blocking an event loop.
+//! `overloaded` error instead of blocking an event loop (or refused
+//! with `invalid_request` when it has more items than the queue ever
+//! holds).
 //! [`Server::bind_router`] swaps the scheduler for a consistent-hash
 //! shard router that fans request items out to the shard daemons owning
 //! their structure keys.
@@ -62,6 +65,7 @@ pub mod client;
 mod error;
 mod metrics;
 mod proto;
+mod queue;
 mod reactor;
 mod router;
 mod scheduler;

@@ -72,7 +72,8 @@ pub(crate) struct Metrics {
     pub(crate) verb_stats: AtomicU64,
     /// `trace_dump_request` lines answered.
     pub(crate) verb_trace_dump: AtomicU64,
-    /// Handler threads currently serving a connection.
+    /// Connections currently open: each holds a [`ConnectionSlot`]
+    /// from the accept until its event loop drops it.
     pub(crate) connections_active: AtomicUsize,
     /// Connections turned away at the connection limit.
     pub(crate) connections_rejected: AtomicU64,
@@ -80,8 +81,8 @@ pub(crate) struct Metrics {
     pub(crate) oversize_lines: AtomicU64,
     /// Map requests accepted by the backend (scheduler or shard queues).
     pub(crate) requests: AtomicU64,
-    /// Queued items skipped because their connection hung up before
-    /// they were dispatched — work the disconnect cancellation saved.
+    /// Queued items skipped because their connection hung up before a
+    /// worker ran them — work the disconnect cancellation saved.
     pub(crate) items_cancelled: AtomicU64,
     /// Event-loop poll returns across every reactor worker. Near-idle
     /// servers should barely move this — the counter the idle-churn
@@ -188,9 +189,10 @@ impl Metrics {
 }
 
 /// RAII claim of one connection slot: increments the active count on
-/// claim, decrements on drop (however the handler exits — return, error
-/// or unwind), so the connection limit cannot leak slots. Owns its
-/// `Arc<Metrics>` so the claim can travel into the handler thread.
+/// claim, decrements on drop (however the connection ends — close,
+/// error or unwind), so the connection limit cannot leak slots. Owns
+/// its `Arc<Metrics>` so the claim can travel with the connection from
+/// the acceptor into its event loop.
 #[derive(Debug)]
 pub(crate) struct ConnectionSlot {
     metrics: Arc<Metrics>,

@@ -850,7 +850,8 @@ pub struct StatsReply {
     pub verbs: VerbCounters,
     /// Trace-collector summary (`None` when tracing is off).
     pub trace: Option<TraceSummary>,
-    /// Jobs queued in the scheduler, not yet dispatched.
+    /// Jobs queued in the scheduler (or, on a router, in the shard
+    /// queues), not yet taken by a worker or forwarder.
     pub queue_depth: usize,
     /// Connections currently being served.
     pub connections: usize,
@@ -873,8 +874,8 @@ pub struct StatsReply {
     /// any other build, so daemons always report 0. The wire key stays
     /// for clients that still read it.
     pub remaps: u64,
-    /// Queued items skipped because their connection hung up before
-    /// dispatch — work the disconnect cancellation saved.
+    /// Queued items skipped because their connection hung up before a
+    /// worker ran them — work the disconnect cancellation saved.
     pub cancelled_items: u64,
     /// Event-loop poll returns across every reactor worker since boot.
     /// An idle server should barely move this counter.

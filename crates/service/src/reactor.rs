@@ -24,7 +24,9 @@
 //! [`MAX_PENDING`] parsed lines), the write buffer (reads pause and no
 //! further pending request is started above `max_write_buffer`), and
 //! the backend's bounded queues (a full queue sheds the request with a
-//! typed `overloaded` error instead of stalling the worker).
+//! typed `overloaded` error instead of stalling the worker, and a
+//! request with more items than the queue holds is refused with
+//! `invalid_request`).
 //!
 //! Responses stay strictly serialized per connection: one request's
 //! items and `map_done` are fully emitted before the next pending line

@@ -20,10 +20,11 @@
 //!
 //! ```text
 //! client ──▶ router reactor (a map_delta becomes its map_request)
-//!   ──(group items by ring owner)──▶ per-shard bounded queue
-//!   ──▶ forwarder thread (persistent connection, one retry on
-//!   transport error) ──▶ shard hattd ──▶ items stream back, indices
-//!   translated to the client's, into the client's ConnSink
+//!   ──(group items by ring owner)──▶ each shard's WorkQueue, one job
+//!   per slice, keyed by the client's connection
+//!   ──▶ the shard's one forwarder thread (persistent connection, one
+//!   retry on transport error) ──▶ shard hattd ──▶ items stream back,
+//!   indices translated to the client's, into the client's ConnSink
 //! ```
 //!
 //! A full shard queue **sheds** that shard's slice of the request with
@@ -33,11 +34,10 @@
 //! forward succeeds again. The router never blocks an event-loop
 //! worker on a shard.
 
-use std::collections::VecDeque;
 use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -51,6 +51,7 @@ use crate::metrics::Metrics;
 use crate::proto::{
     write_line, ItemError, ItemPayload, MapItem, MapRequest, ResponseLine, ShardStats, StatsReply,
 };
+use crate::queue::WorkQueue;
 use crate::reactor::{Backend, ConnSink};
 
 /// Virtual points per shard on the ring: enough to keep the keyspace
@@ -108,68 +109,6 @@ struct ShardJob {
     trace: Option<TraceCtx>,
 }
 
-/// The bounded job queue in front of one forwarder thread.
-struct ShardQueue {
-    state: Mutex<(VecDeque<ShardJob>, bool)>,
-    not_empty: Condvar,
-    capacity: usize,
-}
-
-impl ShardQueue {
-    fn new(capacity: usize) -> ShardQueue {
-        ShardQueue {
-            state: Mutex::new((VecDeque::new(), false)),
-            not_empty: Condvar::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, (VecDeque<ShardJob>, bool)> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Non-blocking (event-loop safe): `Err` hands the job back when
-    /// the queue is full or shutting down — the caller sheds it.
-    #[allow(clippy::result_large_err)] // Err returns the job to the caller by design
-    fn try_push(&self, job: ShardJob) -> Result<(), ShardJob> {
-        let mut state = self.lock();
-        if state.1 || state.0.len() >= self.capacity {
-            return Err(job);
-        }
-        state.0.push_back(job);
-        drop(state);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Blocks for the next job; `None` once shut down *and* drained
-    /// (already-accepted work is always forwarded or answered).
-    fn pop(&self) -> Option<ShardJob> {
-        let mut state = self.lock();
-        loop {
-            if let Some(job) = state.0.pop_front() {
-                return Some(job);
-            }
-            if state.1 {
-                return None;
-            }
-            state = self
-                .not_empty
-                .wait(state)
-                .unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.lock().0.len()
-    }
-
-    fn shutdown(&self) {
-        self.lock().1 = true;
-        self.not_empty.notify_all();
-    }
-}
-
 /// Health and traffic counters of one shard, surfaced in `stats`.
 #[derive(Debug, Default)]
 struct ShardCounters {
@@ -183,7 +122,7 @@ struct ShardCounters {
 
 struct Shard {
     addr: String,
-    queue: Arc<ShardQueue>,
+    queue: Arc<WorkQueue<ShardJob>>,
     counters: Arc<ShardCounters>,
     forwarder: Mutex<Option<JoinHandle<()>>>,
 }
@@ -209,7 +148,7 @@ impl RouterBackend {
         let metrics = Arc::new(Metrics::default());
         let mut shards = Vec::with_capacity(shard_addrs.len());
         for addr in shard_addrs {
-            let queue = Arc::new(ShardQueue::new(shard_queue));
+            let queue = Arc::new(WorkQueue::new(shard_queue));
             let counters = Arc::new(ShardCounters::default());
             let forwarder = {
                 let addr = addr.clone();
@@ -304,8 +243,15 @@ impl Backend for RouterBackend {
                 sink: sink.clone(),
                 trace,
             };
-            if let Err(job) = shard.queue.try_push(job) {
-                self.shed(shard, &job);
+            // Keyed by the client's connection, which has one request
+            // in flight, so a shard queue holds at most one job per
+            // connection and forwards first-in, first-out. A one-job
+            // push never outnumbers the capacity; a closed queue sheds
+            // alike.
+            if let Err((_, jobs)) = shard.queue.try_push(sink.id(), vec![job]) {
+                for job in &jobs {
+                    self.shed(shard, job);
+                }
             }
         }
         Ok(items)
@@ -332,7 +278,7 @@ impl Backend for RouterBackend {
 
     fn drain(&self) {
         for shard in &self.shards {
-            shard.queue.shutdown();
+            shard.queue.close();
         }
         for shard in &self.shards {
             let handle = shard
@@ -373,7 +319,7 @@ fn connect(addr: &str) -> std::io::Result<ShardConn> {
 /// translates item indices back to the client's.
 fn forwarder_loop(
     addr: &str,
-    queue: &ShardQueue,
+    queue: &WorkQueue<ShardJob>,
     counters: &ShardCounters,
     metrics: &Metrics,
     tracer: &Tracer,
@@ -594,26 +540,5 @@ mod tests {
         assert_eq!(singles, 0x3861_2014_6978_b441);
         assert_eq!(pair, 0xb009_5f2f_303a_0862);
         assert_eq!((ring.owner(singles), ring.owner(pair)), (1, 0));
-    }
-
-    #[test]
-    fn shard_queue_bounds_and_drains() {
-        let q = ShardQueue::new(2);
-        let (worker, _completions) = crate::reactor::worker_pair().expect("pair");
-        let mk = || ShardJob {
-            sub: MapRequest::new("r", vec![]),
-            orig: vec![],
-            sink: ConnSink::new(&worker),
-            trace: None,
-        };
-        assert!(q.try_push(mk()).is_ok());
-        assert!(q.try_push(mk()).is_ok());
-        assert!(q.try_push(mk()).is_err(), "third job must be shed");
-        assert_eq!(q.len(), 2);
-        q.shutdown();
-        assert!(q.try_push(mk()).is_err(), "no work after shutdown");
-        assert!(q.pop().is_some());
-        assert!(q.pop().is_some());
-        assert!(q.pop().is_none(), "drained and shut down");
     }
 }

@@ -1,39 +1,41 @@
 //! The bounded-queue request scheduler behind [`Server::bind`]: queues
 //! the items of every map request (a `map_delta` line arrives as the
-//! `map_request` it names), fans them onto
-//! `vendor/parallel` scoped workers through the shared [`Mapper`]
-//! cache, and streams one [`MapItem`] per item **as it completes** into
-//! the requesting connection's [`ConnSink`].
+//! `map_request` it names), runs them on a pool of long-lived workers
+//! through the shared [`Mapper`] cache, and streams one [`MapItem`] per
+//! item **as it completes** into the requesting connection's
+//! [`ConnSink`].
 //!
 //! ## Design
 //!
 //! * **Bounded queue, never blocking.** Submissions run on an
 //!   event-loop worker, which must not stall every connection it owns
-//!   on one full queue: a request whose items do not all fit is shed
-//!   whole with [`ServiceError::Overloaded`].
+//!   on one full queue: a request whose items do not all fit the free
+//!   room is shed whole with [`ServiceError::Overloaded`], and one with
+//!   more items than the capacity is refused for good with
+//!   [`ServiceError::TooLarge`].
 //! * **Per-connection fairness.** Jobs are queued under their
-//!   connection's id and the dispatcher drains connections
+//!   connection's id in the one [`WorkQueue`], which pops connections
 //!   round-robin, one job each per turn — a chatty client with a huge
 //!   batch cannot monopolize the queue ahead of a small request from
 //!   another connection.
-//! * **Fan-out.** A single dispatcher thread drains the queue in
-//!   batches and runs each batch through [`parallel::par_map_with`] —
-//!   the same scoped-thread fan-out the construction engine itself
-//!   uses — with the per-job thread budget split evenly so a batch
-//!   never oversubscribes the host.
+//! * **A pool of workers.** [`SchedulerConfig::workers`] long-lived
+//!   threads each pop one job, skip it if its connection hung up, and
+//!   run it, so a cheap job never waits for a slow build while a worker
+//!   is free. A job takes `workers / running` threads for its own
+//!   construction, counting itself: a lone job keeps the whole budget,
+//!   a full pool gives each job one thread.
 //! * **Shared cache.** Every job probes the mapper's structure-keyed
 //!   [`MappingCache`](hatt_core::MappingCache), so repeated structures
 //!   across requests and connections dedupe onto one construction.
 //! * **Typed failures.** A job that fails maps to an error
 //!   [`MapItem`] (`empty_hamiltonian`, `mode_mismatch`, …) — one bad
-//!   item never poisons its batch, and no panic is reachable from
+//!   item never poisons its request, and no panic is reachable from
 //!   request data.
 //!
 //! [`Server::bind`]: crate::Server::bind
 
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::Ordering;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -46,17 +48,19 @@ use hatt_trace::{now_ns, TraceCtx, Tracer};
 use crate::error::ServiceError;
 use crate::metrics::Metrics;
 use crate::proto::{ItemError, ItemPayload, MapItem, MapRequest, StatsReply, TierStats};
+use crate::queue::WorkQueue;
 use crate::reactor::{Backend, ConnSink};
 
 /// Scheduler sizing.
 #[derive(Debug, Clone)]
 pub struct SchedulerConfig {
-    /// Concurrent mapping workers per dispatched batch (default:
-    /// [`parallel::max_threads`], i.e. `HATT_THREADS` or the hardware
-    /// count).
+    /// Long-lived mapping workers, which also bound the threads the
+    /// running jobs share (default: [`parallel::max_threads`], i.e.
+    /// `HATT_THREADS` or the hardware count).
     pub workers: usize,
-    /// Maximum queued (not yet dispatched) jobs. A request whose items
-    /// do not all fit is shed whole with a typed `overloaded` error.
+    /// Maximum queued (not yet running) jobs. A request whose items do
+    /// not all fit is shed whole with a typed `overloaded` error; one
+    /// with more items than this is refused with `invalid_request`.
     pub queue_capacity: usize,
 }
 
@@ -71,7 +75,8 @@ impl Default for SchedulerConfig {
 
 /// The trace identity a traced job carries through the queue: the
 /// request's context (parented on its root span) plus the enqueue
-/// timestamp, so dispatch can emit the `sched.wait` span retroactively.
+/// timestamp, so its worker can emit the `sched.wait` span
+/// retroactively.
 struct JobTrace {
     ctx: TraceCtx,
     enqueued_ns: u64,
@@ -90,97 +95,21 @@ struct Job {
     trace: Option<JobTrace>,
 }
 
-/// A queue of jobs bucketed by connection id, drained round-robin: each
-/// drain turn takes one job from the least-recently-served non-empty
-/// connection. The turn order is the `rotation` (first arrival), never
-/// the ids' values; `BTreeMap` (not a hash map) keeps lookups
-/// deterministic.
-struct FairQueue<T> {
-    queues: BTreeMap<u64, VecDeque<T>>,
-    /// Non-empty connections in service order; a connection re-joins at
-    /// the back after each served job.
-    rotation: VecDeque<u64>,
-    len: usize,
-}
-
-impl<T> Default for FairQueue<T> {
-    fn default() -> Self {
-        FairQueue {
-            queues: BTreeMap::new(),
-            rotation: VecDeque::new(),
-            len: 0,
-        }
-    }
-}
-
-impl<T> FairQueue<T> {
-    fn push(&mut self, conn: u64, item: T) {
-        let queue = self.queues.entry(conn).or_default();
-        if queue.is_empty() {
-            self.rotation.push_back(conn);
-        }
-        queue.push_back(item);
-        self.len += 1;
-    }
-
-    /// Removes up to `max` items, one per connection per rotation turn.
-    fn drain(&mut self, max: usize) -> Vec<T> {
-        let mut out = Vec::new();
-        while out.len() < max {
-            let Some(conn) = self.rotation.pop_front() else {
-                break;
-            };
-            let Some(queue) = self.queues.get_mut(&conn) else {
-                continue;
-            };
-            if let Some(item) = queue.pop_front() {
-                out.push(item);
-                self.len -= 1;
-            }
-            if queue.is_empty() {
-                self.queues.remove(&conn);
-            } else {
-                self.rotation.push_back(conn);
-            }
-        }
-        out
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
-
-struct QueueState {
-    jobs: FairQueue<Job>,
-    shutdown: bool,
-}
-
 struct Shared {
     mapper: Mapper,
     metrics: Arc<Metrics>,
     tracer: Tracer,
     workers: usize,
-    capacity: usize,
-    state: Mutex<QueueState>,
-    not_empty: Condvar,
-}
-
-impl Shared {
-    fn lock(&self) -> std::sync::MutexGuard<'_, QueueState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
+    queue: WorkQueue<Job>,
+    /// Jobs running now; each takes `workers / running` threads.
+    running: AtomicUsize,
 }
 
 /// The bounded-queue scheduler (see the module docs for the design):
 /// the backend of a single daemon, owning its [`Mapper`].
 pub(crate) struct Scheduler {
     shared: Arc<Shared>,
-    dispatcher: Mutex<Option<JoinHandle<()>>>,
+    workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl Scheduler {
@@ -189,7 +118,7 @@ impl Scheduler {
     ///
     /// # Errors
     ///
-    /// Fails when the dispatcher thread cannot be spawned (resource
+    /// Fails when a worker thread cannot be spawned (resource
     /// exhaustion).
     pub(crate) fn new(
         mapper: Mapper,
@@ -201,44 +130,39 @@ impl Scheduler {
             metrics: Arc::new(Metrics::default()),
             tracer,
             workers: config.workers.max(1),
-            capacity: config.queue_capacity.max(1),
-            state: Mutex::new(QueueState {
-                jobs: FairQueue::default(),
-                shutdown: false,
-            }),
-            not_empty: Condvar::new(),
+            queue: WorkQueue::new(config.queue_capacity),
+            running: AtomicUsize::new(0),
         });
-        let dispatcher = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("hatt-sched".into())
-                .spawn(move || dispatch_loop(&shared))?
-        };
+        let workers = (0..shared.workers)
+            .map(|i| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("hatt-sched-{i}"))
+                    .spawn(move || worker_loop(&shared))
+            })
+            .collect::<std::io::Result<Vec<_>>>()
+            // The workers already spawned exit on the closed, empty queue.
+            .inspect_err(|_| shared.queue.close())?;
         Ok(Scheduler {
             shared,
-            dispatcher: Mutex::new(Some(dispatcher)),
+            workers: Mutex::new(workers),
         })
     }
 
-    /// Signals shutdown and joins the dispatcher: every already-queued
-    /// job is still dispatched and answered first. Idempotent; [`Drop`]
-    /// calls it too.
+    /// Closes the queue and joins the workers: every already-queued
+    /// job is still run and answered first. Idempotent; [`Drop`] calls
+    /// it too.
     fn shutdown(&self) {
-        self.shared.lock().shutdown = true;
-        self.shared.not_empty.notify_all();
-        let handle = self
-            .dispatcher
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take();
-        if let Some(handle) = handle {
+        self.shared.queue.close();
+        let workers = std::mem::take(&mut *self.workers.lock().unwrap_or_else(|e| e.into_inner()));
+        for handle in workers {
             let _ = handle.join();
         }
     }
 
-    /// Jobs currently queued (not yet dispatched).
+    /// Jobs currently queued (not yet popped by a worker).
     fn queue_len(&self) -> usize {
-        self.shared.lock().jobs.len()
+        self.shared.queue.len()
     }
 }
 
@@ -252,7 +176,7 @@ impl Backend for Scheduler {
     }
 
     /// Queues the request's items under its connection's fairness
-    /// bucket, or sheds the whole request when they do not all fit.
+    /// bucket, or refuses the whole request when they do not all fit.
     fn submit_map(
         &self,
         req: MapRequest,
@@ -262,28 +186,24 @@ impl Backend for Scheduler {
         let options = req.options.unwrap_or(*self.shared.mapper.options());
         let enqueued_ns = trace.map(|_| now_ns()).unwrap_or_default();
         let n = req.hamiltonians.len();
-        let mut state = self.shared.lock();
-        if state.shutdown {
-            return Err(ServiceError::ShuttingDown);
-        }
-        if state.jobs.len() + n > self.shared.capacity {
-            return Err(ServiceError::Overloaded);
-        }
-        for (index, h) in req.hamiltonians.into_iter().enumerate() {
-            state.jobs.push(
-                sink.id(),
-                Job {
-                    id: req.id.clone(),
-                    options,
-                    index,
-                    h,
-                    expected_modes: req.n_modes,
-                    sink: sink.clone(),
-                    trace: trace.map(|ctx| JobTrace { ctx, enqueued_ns }),
-                },
-            );
-        }
-        self.shared.not_empty.notify_all();
+        let jobs = req
+            .hamiltonians
+            .into_iter()
+            .enumerate()
+            .map(|(index, h)| Job {
+                id: req.id.clone(),
+                options,
+                index,
+                h,
+                expected_modes: req.n_modes,
+                sink: sink.clone(),
+                trace: trace.map(|ctx| JobTrace { ctx, enqueued_ns }),
+            })
+            .collect();
+        self.shared
+            .queue
+            .try_push(sink.id(), jobs)
+            .map_err(|(e, _)| e)?;
         self.shared.metrics.requests.fetch_add(1, Ordering::Relaxed);
         Ok(n)
     }
@@ -316,73 +236,44 @@ impl Drop for Scheduler {
     }
 }
 
-/// The dispatcher: drain a batch, fan it out, repeat. Exits once
-/// shutdown is signalled *and* the queue is drained (submitted work is
-/// always answered).
-fn dispatch_loop(shared: &Shared) {
-    loop {
-        let batch: Vec<Job> = {
-            let mut state = shared.lock();
-            loop {
-                if !state.jobs.is_empty() {
-                    break;
-                }
-                if state.shutdown {
-                    return;
-                }
-                state = shared
-                    .not_empty
-                    .wait(state)
-                    .unwrap_or_else(|e| e.into_inner());
-            }
-            // Dispatch up to 2× the worker count per round: enough to
-            // keep every worker busy while leaving later arrivals the
-            // chance to ride the next (soon) round. The drain itself is
-            // round-robin across clients, so a round mixes every waiting
-            // connection instead of exhausting the chattiest one first.
-            let take = state.jobs.len().min(shared.workers * 2);
-            state.jobs.drain(take)
-        };
+/// One pool worker: pops jobs until the queue is closed and drained,
+/// and runs each whose connection is still there.
+fn worker_loop(shared: &Shared) {
+    while let Some(job) = shared.queue.pop() {
         // Disconnect cancellation: a job whose connection hung up is
-        // dead weight — skip the construction entirely. The check sits
-        // here (per dispatch round, not only at enqueue) so a client
-        // dropping mid-batch stops burning workers within one round.
-        let (batch, cancelled): (Vec<Job>, Vec<Job>) =
-            batch.into_iter().partition(|job| !job.sink.is_cancelled());
-        if !cancelled.is_empty() {
+        // dead weight, so its construction is skipped entirely.
+        if job.sink.is_cancelled() {
             shared
                 .metrics
                 .items_cancelled
-                .fetch_add(cancelled.len() as u64, Ordering::Relaxed);
-        }
-        if batch.is_empty() {
+                .fetch_add(1, Ordering::Relaxed);
             continue;
         }
-        // Split the thread budget so one round never oversubscribes:
-        // concurrent jobs are peers, exactly like `Mapper::map_batch`.
-        let inner_threads = (shared.workers / batch.len().min(shared.workers)).max(1);
-        parallel::par_map_with(shared.workers, &batch, |job| {
-            let start = Instant::now();
-            // A traced job emits its queue wait retroactively and runs
-            // under a dispatch scope, so every span the construction
-            // layer emits (cache probe, store I/O, selection steps)
-            // nests beneath this request's tree.
-            let item = match &job.trace {
-                Some(t) => {
-                    shared
-                        .tracer
-                        .record_span(t.ctx, "sched.wait", t.enqueued_ns, now_ns());
-                    shared.tracer.scope(t.ctx, "sched.dispatch", || {
-                        run_job(&shared.mapper, job, inner_threads)
-                    })
-                }
-                None => run_job(&shared.mapper, job, inner_threads),
-            };
-            shared
-                .metrics
-                .observe_latency(&job.options.policy.to_string(), start.elapsed());
-            job.sink.send(item);
-        });
+        // Split the thread budget among the jobs running now: a lone
+        // job keeps all of it, a full pool gives each job one thread.
+        let running = shared.running.fetch_add(1, Ordering::Relaxed) + 1;
+        let inner_threads = (shared.workers / running).max(1);
+        let start = Instant::now();
+        // A traced job emits its queue wait retroactively and runs
+        // under a dispatch scope, so every span the construction layer
+        // emits (cache probe, store I/O, selection steps) nests beneath
+        // this request's tree.
+        let item = match &job.trace {
+            Some(t) => {
+                shared
+                    .tracer
+                    .record_span(t.ctx, "sched.wait", t.enqueued_ns, now_ns());
+                shared.tracer.scope(t.ctx, "sched.dispatch", || {
+                    run_job(&shared.mapper, &job, inner_threads)
+                })
+            }
+            None => run_job(&shared.mapper, &job, inner_threads),
+        };
+        shared.running.fetch_sub(1, Ordering::Relaxed);
+        shared
+            .metrics
+            .observe_latency(&job.options.policy.to_string(), start.elapsed());
+        job.sink.send(item);
     }
 }
 
@@ -554,54 +445,9 @@ mod tests {
     }
 
     #[test]
-    fn fair_queue_interleaves_clients_round_robin() {
-        let mut q = FairQueue::default();
-        let (a, b, c) = (0, 1, 2);
-        for i in 0..6 {
-            q.push(a, format!("a{i}"));
-        }
-        q.push(b, "b0".to_string());
-        q.push(b, "b1".to_string());
-        q.push(c, "c0".to_string());
-        assert_eq!(q.len(), 9);
-        // One job per client per turn, in arrival order of the clients.
-        assert_eq!(q.drain(6), ["a0", "b0", "c0", "a1", "b1", "a2"]);
-        // Only client a remains; the drain degenerates to FIFO.
-        assert_eq!(q.drain(10), ["a3", "a4", "a5"]);
-        assert!(q.is_empty());
-        assert!(q.drain(4).is_empty());
-    }
-
-    #[test]
-    fn fair_queue_late_client_overtakes_a_deep_backlog() {
-        let mut q = FairQueue::default();
-        let (a, b) = (7, 3);
-        for i in 0..100 {
-            q.push(a, (0usize, i));
-        }
-        // b arrives after a's whole backlog, with a single job.
-        q.push(b, (1usize, 0));
-        let batch = q.drain(4);
-        assert_eq!(batch, [(0, 0), (1, 0), (0, 1), (0, 2)]);
-        // b's lone job rode the first round instead of waiting out all
-        // 100 of a's — the fairness property the service test pins
-        // end to end.
-    }
-
-    #[test]
-    fn submissions_under_one_client_share_a_turn() {
-        let mut q = FairQueue::default();
-        q.push(0, "r1-0");
-        q.push(0, "r1-1");
-        q.push(0, "r2-0");
-        q.push(1, "other");
-        // Both of client 0's requests pool into one rotation slot.
-        assert_eq!(q.drain(3), ["r1-0", "other", "r1-1"]);
-    }
-
-    #[test]
     fn a_request_that_does_not_fit_is_shed_whole() {
-        // One-slot queue: a multi-item request cannot fit atomically.
+        // One-slot queue: a 64-item request can never fit, so it is
+        // refused for good rather than shed as `overloaded`.
         let scheduler = start(SchedulerConfig {
             workers: 1,
             queue_capacity: 1,
@@ -612,10 +458,59 @@ mod tests {
             (0..64).map(|_| MajoranaSum::uniform_singles(2)).collect(),
         );
         match scheduler.submit_map(big, &ConnSink::new(&worker), None) {
-            Err(ServiceError::Overloaded) => {}
-            other => panic!("expected Overloaded, got {other:?}"),
+            Err(e @ ServiceError::TooLarge { .. }) => {
+                assert_eq!(e.code(), "invalid_request");
+                let message = e.to_string();
+                assert!(
+                    message.contains("64 items") && message.contains("capacity of 1"),
+                    "{message}"
+                );
+            }
+            other => panic!("expected TooLarge, got {other:?}"),
         }
         assert_eq!(scheduler.queue_len(), 0, "no item of a shed request queued");
+        let requests = scheduler.shared.metrics.requests.load(Ordering::SeqCst);
+        assert_eq!(requests, 0, "a refused request is not counted");
+    }
+
+    /// A cheap job submitted while a slow build runs is served by the
+    /// other worker instead of waiting for the build.
+    #[test]
+    fn a_slow_build_does_not_hold_a_cheap_job_behind_it() {
+        use hatt_core::Variant;
+
+        let scheduler = start(SchedulerConfig {
+            workers: 2,
+            queue_capacity: 256,
+        });
+        let (worker, completions) = worker_pair().expect("worker");
+        let (slow, fast) = (ConnSink::new(&worker), ConnSink::new(&worker));
+        let mut build = MapRequest::new("slow", vec![MajoranaSum::uniform_singles(48)]);
+        build.options = Some(HattOptions {
+            variant: Variant::Unopt,
+            ..HattOptions::default()
+        });
+        scheduler.submit_map(build, &slow, None).unwrap();
+        // Once a worker has popped the slow job, queue the cheap one.
+        while scheduler.queue_len() > 0 {
+            std::thread::yield_now();
+        }
+        let cheap = MapRequest::new("fast", vec![MajoranaSum::uniform_singles(3)]);
+        scheduler.submit_map(cheap, &fast, None).unwrap();
+        let order: Vec<u64> = (0..2)
+            .map(|_| {
+                let (conn, item) = completions
+                    .recv_timeout(Duration::from_secs(60))
+                    .expect("item");
+                assert!(item.is_ok(), "{item:?}");
+                conn
+            })
+            .collect();
+        assert_eq!(
+            order,
+            [fast.id(), slow.id()],
+            "the cheap item waited for the slow build"
+        );
     }
 
     #[test]

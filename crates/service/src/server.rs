@@ -298,8 +298,8 @@ impl Server {
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
-        // Only now tear the backend down: join the dispatcher (or the
-        // shard forwarders) and flush the persistent tier.
+        // Only now tear the backend down: join the scheduler's workers
+        // (or the shard forwarders) and flush the persistent tier.
         if let Some(backend) = self.backend.take() {
             backend.drain();
         }

@@ -1103,6 +1103,131 @@ fn disconnecting_mid_batch_cancels_queued_work() {
     server.shutdown();
 }
 
+/// A daemon whose scheduler holds at most `capacity` queued jobs.
+fn small_queue(capacity: usize) -> ServerConfig {
+    ServerConfig {
+        scheduler: SchedulerConfig {
+            workers: 1,
+            queue_capacity: capacity,
+        },
+        ..ServerConfig::default()
+    }
+}
+
+#[test]
+fn a_request_larger_than_the_queue_is_refused_not_shed() {
+    // More items than the queue ever holds: no retry could clear an
+    // `overloaded`, so the request is refused whole with
+    // `invalid_request`, naming both numbers, and nothing is queued.
+    let capacity = 4;
+    let server =
+        Server::bind("127.0.0.1:0", Mapper::new(), small_queue(capacity)).expect("bind daemon");
+    let addr = server.local_addr();
+    let hams: Vec<MajoranaSum> = (2..3 + capacity)
+        .map(MajoranaSum::uniform_singles)
+        .collect();
+    let reply = client::request(addr, &MapRequest::new("too-large", hams.clone()))
+        .expect("refusal round trip");
+    assert_eq!((reply.done.items, reply.done.errors), (1, 1));
+    assert_eq!(reply.items[0].index, None, "refused as a whole request");
+    let error = reply.items[0].error().expect("typed refusal");
+    assert_eq!(error.code, "invalid_request");
+    assert!(
+        error.message.contains("5 items") && error.message.contains("capacity of 4"),
+        "{}",
+        error.message
+    );
+    let stats = client::stats(addr, "after-refusal").expect("stats");
+    assert_eq!(
+        (stats.requests, stats.queue_depth, stats.constructions),
+        (0, 0, 0),
+        "nothing of the refused request was queued"
+    );
+    // The same items, split to fit, are served.
+    let fits = MapRequest::new("fits", hams[..capacity].to_vec());
+    let reply = client::request(addr, &fits).expect("round trip");
+    assert_eq!((reply.done.items, reply.done.errors), (capacity, 0));
+    server.shutdown();
+}
+
+#[test]
+fn a_routed_slice_larger_than_its_shard_queue_is_refused_not_shed() {
+    // Each shard holds 2 queued jobs; 8 distinct structures over 2
+    // shards put at least 4 on one of them. Every index of a slice over
+    // its shard's capacity reads `invalid_request`, every other index
+    // is served, and none reads `overloaded`.
+    let capacity = 2;
+    let shards: Vec<Server> = (0..2)
+        .map(|_| {
+            Server::bind("127.0.0.1:0", Mapper::new(), small_queue(capacity)).expect("bind shard")
+        })
+        .collect();
+    let shard_addrs: Vec<String> = shards.iter().map(|s| s.local_addr().to_string()).collect();
+    let router = Server::bind_router("127.0.0.1:0", &shard_addrs, ServerConfig::default())
+        .expect("bind router");
+    let addr = router.local_addr();
+    let hams: Vec<MajoranaSum> = (2..10).map(MajoranaSum::uniform_singles).collect();
+
+    // Each item's owner: the shard whose accepted requests rise when the
+    // item is sent alone.
+    let accepted = || -> Vec<u64> {
+        shards
+            .iter()
+            .map(|s| {
+                client::stats(s.local_addr(), "owner")
+                    .expect("stats")
+                    .requests
+            })
+            .collect()
+    };
+    let owner: Vec<usize> = hams
+        .iter()
+        .map(|h| {
+            let before = accepted();
+            let reply = client::request(addr, &MapRequest::new("alone", vec![h.clone()]))
+                .expect("routed round trip");
+            assert_eq!(reply.done.errors, 0);
+            let after = accepted();
+            (0..shards.len())
+                .find(|&k| after[k] > before[k])
+                .expect("one shard served the item")
+        })
+        .collect();
+    let slice = |shard: usize| owner.iter().filter(|&&o| o == shard).count();
+
+    let reply =
+        client::request(addr, &MapRequest::new("split", hams.clone())).expect("routed round trip");
+    assert_eq!(reply.done.items, hams.len());
+    let mut refused = 0;
+    for item in reply.into_ordered() {
+        let i = item.index.expect("an item per index");
+        let over = slice(owner[i]) > capacity;
+        match item.error() {
+            Some(error) => {
+                assert!(over, "item {i} on a slice that fits: {error:?}");
+                assert_eq!(error.code, "invalid_request", "item {i}");
+                assert!(error.message.contains("capacity of 2"), "{}", error.message);
+                refused += 1;
+            }
+            None => assert!(!over, "item {i} of a slice over capacity was served"),
+        }
+    }
+    assert!(
+        refused > capacity,
+        "a slice over capacity was refused whole"
+    );
+    let stats = client::stats(addr, "router").expect("router stats");
+    assert!(
+        stats.shards.iter().all(|s| s.shed == 0),
+        "{:?}",
+        stats.shards
+    );
+    router.shutdown();
+    for shard in shards {
+        shard.shutdown();
+    }
+}
+
 #[test]
 fn an_open_loop_burst_over_the_cap_sheds_typed_overloaded_and_recovers() {
     // An open-loop burst of 12 simultaneous connections against a
