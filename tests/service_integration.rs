@@ -595,9 +595,9 @@ fn a_small_client_is_not_starved_behind_a_chatty_one() {
 }
 
 fn small_client_overtakes_chatty_batch(event_workers: usize) {
-    // One worker makes dispatch fully sequential: each round-robin round
-    // takes at most two jobs, so client B's lone job must ride an early
-    // round instead of waiting out client A's entire backlog.
+    // One worker runs the jobs one at a time, and the queue pops
+    // connections round robin, so client B's lone job is popped right
+    // after one more of client A's instead of waiting out A's backlog.
     let config = ServerConfig {
         scheduler: SchedulerConfig {
             workers: 1,
